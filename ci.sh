@@ -14,10 +14,9 @@ echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
 # Parallel == sequential must hold at the thread counts CI machines
-# actually have, beyond the suites' built-in {1, 2, 8} grid.
+# actually have, beyond the suite's built-in {1, 2, 8} grid.
 for t in 1 4; do
   echo "==> parallel equivalence at ANNOYED_THREADS=$t"
-  ANNOYED_THREADS=$t cargo test -q -p netsim --test parallel_equivalence
   ANNOYED_THREADS=$t cargo test -q -p adscope --test parallel_equivalence
 done
 
@@ -254,8 +253,8 @@ cargo run --release -q -p bench --bin bench_gate -- BENCH_baseline.json BENCH_la
   --stamp "$(git rev-parse --short HEAD 2>/dev/null || echo local)" \
   --manifest "$STREAM_DIR/full.manifest.json"
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -40,17 +40,18 @@ pub mod pipeline;
 pub mod population;
 pub mod provenance;
 pub mod refmap;
-pub mod shard;
 pub mod stream;
 pub mod users;
 pub mod window;
 
 pub use classify::{AdLabel, Attribution, EngineMode, ListKind, PassiveClassifier};
 pub use degrade::DegradationReport;
-pub use pipeline::{ClassifiedRequest, ClassifiedTrace, PipelineOptions};
+pub use pipeline::{
+    classify_trace_sharded, classify_trace_sharded_in, ClassifiedRequest, ClassifiedTrace,
+    PipelineOptions,
+};
 pub use population::{PopulationOptions, PopulationReport, PopulationSketches, UserTally};
 pub use provenance::{TraceOptions, Tracer, VerdictProvenance};
-pub use shard::{classify_trace_sharded, classify_trace_sharded_in};
 pub use stream::{
     classify_stream_chunks, classify_stream_file, CheckpointOptions, StreamError, StreamOptions,
     StreamReport,

@@ -9,6 +9,7 @@ use crate::population::{PopulationOptions, PopulationSketches};
 use crate::provenance::{self, RecordMeta, TraceOptions, Tracer, VerdictProvenance};
 use crate::refmap::{RefMap, RefMapOptions};
 use crate::window::WindowOptions;
+use ::parallel::Pool;
 use http_model::{ContentCategory, Url};
 use netsim::record::{TlsConnection, Trace, TraceMeta};
 use std::collections::HashMap;
@@ -132,8 +133,9 @@ pub fn classify_trace(
     classify_trace_in(trace, classifier, opts, obs::global())
 }
 
-/// Run the full pipeline over a captured trace, recording metrics into
-/// an explicit registry (tests inject a hermetic one).
+/// Run the full pipeline over a captured trace on the caller's thread,
+/// recording metrics into an explicit registry (tests inject a hermetic
+/// one). This is [`classify_trace_sharded_in`] at one thread.
 ///
 /// Stage order per user, in time order: referrer map → content type
 /// (extension/header now, redirect backfill after) → URL normalization →
@@ -151,6 +153,52 @@ pub fn classify_trace_in(
     opts: PipelineOptions,
     registry: &obs::Registry,
 ) -> ClassifiedTrace {
+    classify_trace_sharded_in(trace, classifier, opts, 1, registry)
+}
+
+/// Multi-core [`classify_trace`]: identical output, with the per-user
+/// stages fanned out over `threads` workers (`0` means
+/// [`parallel::available_parallelism`]). Metrics go to the global [`obs`]
+/// registry.
+pub fn classify_trace_sharded(
+    trace: &Trace,
+    classifier: &PassiveClassifier,
+    opts: PipelineOptions,
+    threads: usize,
+) -> ClassifiedTrace {
+    classify_trace_sharded_in(trace, classifier, opts, threads, obs::global())
+}
+
+/// Like [`classify_trace_sharded`], recording metrics into an explicit
+/// registry.
+///
+/// The pipeline's only cross-record state is per user: the referrer map,
+/// redirect repair and type backfill all key off the ⟨anonymized IP,
+/// User-Agent⟩ pair (the paper's user axis, §6.1), and a redirect's
+/// backfill target is by construction an earlier request of the *same*
+/// user. So the per-user stages ([`classify_users`]) can run over any
+/// partition of the users and produce the same requests:
+///
+/// * At one thread they run once, inline on the caller's thread, over
+///   every record — no pool, no scatter.
+/// * At N threads records are partitioned by a deterministic FNV-1a
+///   hash of the user key (never `HashMap`'s randomized state) into 4N
+///   shards, the stages run per shard on a [`Pool`], and the requests
+///   scatter back into global record order.
+///
+/// Extraction and the out-of-order tally observe the *global* record
+/// sequence, so they run before partitioning; every other
+/// [`DegradationReport`] counter is a sum over records or users, so the
+/// per-shard partials add up to the one-thread totals exactly. Windows
+/// and population sketches run over the merged request vector. The
+/// output is therefore byte-identical at every thread count.
+pub fn classify_trace_sharded_in(
+    trace: &Trace,
+    classifier: &PassiveClassifier,
+    opts: PipelineOptions,
+    threads: usize,
+    registry: &obs::Registry,
+) -> ClassifiedTrace {
     // Stage: extract (URL reassembly + quarantine).
     let mut span = registry.span_with("adscope_stage", &[("stage", "extract")]);
     span.count("records_in", trace.records.len() as u64);
@@ -158,6 +206,16 @@ pub fn classify_trace_in(
     let dropped = degradation.quarantined();
     span.count("records_out", objects.len() as u64);
     drop(span);
+
+    // Out-of-order accounting observes the *global* timestamp sequence,
+    // so it runs before records are partitioned by user.
+    let mut prev_ts = f64::NEG_INFINITY;
+    for obj in &objects {
+        if obj.ts < prev_ts {
+            degradation.out_of_order_records += 1;
+        }
+        prev_ts = obj.ts;
+    }
 
     let normalizer = if opts.normalize {
         UrlNormalizer::from_engine(classifier.engine())
@@ -168,137 +226,61 @@ pub fn classify_trace_in(
     };
 
     // Verdict-provenance tracer: `None` (the default) keeps every
-    // tracing branch below off the hot path.
+    // tracing branch off the hot path. Every sampling decision is a pure
+    // function of record identity, so shards agree record for record.
     let tracer = Tracer::new(&trace.meta.name, opts.trace);
 
-    // Pass 1: per-user referrer map + provisional types.
-    let mut span = registry.span_with("adscope_stage", &[("stage", "refmap")]);
-    span.count("records_in", objects.len() as u64);
-    let mut per_user: HashMap<(u32, Option<&str>), RefMap> = HashMap::new();
-    let mut pages: Vec<Option<Url>> = Vec::with_capacity(objects.len());
-    let mut categories: Vec<ContentCategory> = Vec::with_capacity(objects.len());
-    // Per-record stage facts (Copy), collected only while tracing.
-    let mut metas: Vec<RecordMeta> = Vec::new();
-    // idx (trace position) → objects position, for backfill.
-    let mut pos_of_idx: HashMap<usize, usize> = HashMap::with_capacity(objects.len());
-    let mut backfills: Vec<(usize, ContentCategory)> = Vec::new();
-
-    let mut prev_ts = f64::NEG_INFINITY;
-    for (pos, obj) in objects.iter().enumerate() {
-        if obj.ts < prev_ts {
-            degradation.out_of_order_records += 1;
+    let run = |positions: &[usize]| {
+        classify_users(
+            &objects,
+            positions,
+            classifier,
+            &normalizer,
+            opts,
+            tracer.as_ref(),
+            registry,
+        )
+    };
+    let pool = Pool::new(threads);
+    let (requests, mut tagged_provenance) = if pool.threads() <= 1 {
+        let all: Vec<usize> = (0..objects.len()).collect();
+        let out = run(&all);
+        degradation.absorb(&out.partials);
+        (out.requests, out.provenance)
+    } else {
+        // More shards than workers smooths out user-size skew without
+        // affecting the output; only wall-clock balance changes.
+        let nshards = pool.threads() as u64 * 4;
+        let mut shards: Vec<Vec<usize>> = vec![Vec::new(); nshards as usize];
+        for (pos, obj) in objects.iter().enumerate() {
+            shards[crate::stream::shard_of(obj.client_ip, obj.user_agent.as_deref(), nshards)]
+                .push(pos);
         }
-        prev_ts = obj.ts;
-        pos_of_idx.insert(obj.idx, pos);
-        let user_key = (obj.client_ip, obj.user_agent.as_deref());
-        let map = per_user
-            .entry(user_key)
-            .or_insert_with(|| RefMap::new(opts.refmap));
-        let entry = map.process(obj);
-        let (cat, cat_src) =
-            infer_category_traced(&obj.url, obj.content_type.as_deref(), opts.content);
-        if tracer.is_some() {
-            metas.push(RecordMeta {
-                page_source: entry.ctx.source,
-                hops: entry.ctx.hops,
-                via_redirect: entry.ctx.via_redirect,
-                content_source: cat_src,
-            });
-        }
-        if let Some(redirecting_idx) = entry.backfill_type_to {
-            backfills.push((redirecting_idx, cat));
-        }
-        if entry.ctx.page.is_none() {
-            degradation.refmap_misses += 1;
-        }
-        pages.push(entry.ctx.page);
-        categories.push(cat);
-    }
-    for map in per_user.values() {
-        degradation.broken_redirect_chains += map.redirects_inserted() - map.redirects_consumed();
-    }
-    span.count("users", per_user.len() as u64);
-    span.count("records_out", pages.len() as u64);
-    drop(span);
-
-    // Pass 2: redirect type backfill.
-    let mut span = registry.span_with("adscope_stage", &[("stage", "backfill")]);
-    span.count("records_in", backfills.len() as u64);
-    let mut backfilled = 0u64;
-    for (idx, cat) in backfills {
-        if let Some(&pos) = pos_of_idx.get(&idx) {
-            if cat != ContentCategory::Other {
-                categories[pos] = cat;
-                backfilled += 1;
-                if tracer.is_some() {
-                    metas[pos].content_source = ContentSource::Redirect;
-                }
+        shards.retain(|s| !s.is_empty());
+        let outputs = pool.map(shards, |_, positions| (run(&positions), positions));
+        let mut slots: Vec<Option<ClassifiedRequest>> = (0..objects.len()).map(|_| None).collect();
+        let mut provenance = Vec::new();
+        for (out, positions) in outputs {
+            degradation.absorb(&out.partials);
+            provenance.extend(out.provenance);
+            for (req, pos) in out.requests.into_iter().zip(positions) {
+                debug_assert!(slots[pos].is_none(), "each record classified exactly once");
+                slots[pos] = Some(req);
             }
         }
-    }
-    // A missing Content-Type that still ended with a usable category means
-    // the extension/backfill fallback recovered it.
-    for (pos, obj) in objects.iter().enumerate() {
-        if obj.content_type.is_none() && categories[pos] != ContentCategory::Other {
-            degradation.content_type_fallbacks += 1;
-        }
-    }
-    span.count("records_out", backfilled);
-    drop(span);
+        let requests = slots
+            .into_iter()
+            .map(|s| s.expect("every record belongs to exactly one shard"))
+            .collect();
+        (requests, provenance)
+    };
+    // Restore the record order before publishing, so the trace sink's
+    // contents are byte-identical at any thread count.
+    tagged_provenance.sort_unstable_by_key(|(pos, _)| *pos);
+    let provenance: Vec<VerdictProvenance> =
+        tagged_provenance.into_iter().map(|(_, vp)| vp).collect();
 
-    // Pass 3: normalize + classify.
-    let mut span = registry.span_with("adscope_stage", &[("stage", "classify")]);
-    span.count("records_in", objects.len() as u64);
-    let mut provenance: Vec<VerdictProvenance> = Vec::new();
-    let mut scratch = abp_filter::ClassifyScratch::new();
-    let requests: Vec<ClassifiedRequest> = objects
-        .iter()
-        .enumerate()
-        .map(|(pos, obj)| {
-            let url = normalizer.normalize(&obj.url);
-            let (label, c) = classifier.classify_traced_in(
-                &url,
-                pages[pos].as_ref(),
-                categories[pos],
-                &mut scratch,
-            );
-            if let Some(t) = &tracer {
-                if let Some(cause) = t.cause(obj.idx as u64, &c, pages[pos].is_none()) {
-                    provenance.push(t.build(
-                        cause,
-                        obj,
-                        &normalizer,
-                        classifier,
-                        pages[pos].as_ref(),
-                        metas[pos],
-                        categories[pos],
-                        &c,
-                    ));
-                }
-            }
-            let rule = classifier.primary_rule(&c);
-            ClassifiedRequest {
-                ts: obj.ts,
-                client_ip: obj.client_ip,
-                server_ip: obj.server_ip,
-                url,
-                page: pages[pos].clone(),
-                category: categories[pos],
-                content_type: obj.content_type.clone(),
-                bytes: obj.bytes,
-                user_agent: obj.user_agent.clone(),
-                tcp_handshake_ms: obj.tcp_handshake_ms,
-                http_handshake_ms: obj.http_handshake_ms,
-                label,
-                rule,
-            }
-        })
-        .collect();
     let ad_count = requests.iter().filter(|r| r.label.is_ad()).count();
-    span.count("records_out", requests.len() as u64);
-    span.count("ads", ad_count as u64);
-    drop(span);
-
     registry
         .counter("adscope_requests_classified_total")
         .add(requests.len() as u64);
@@ -350,6 +332,168 @@ pub fn classify_trace_in(
         provenance,
         windows,
         population,
+    }
+}
+
+/// What [`classify_users`] hands back for one set of users.
+struct UserStages {
+    /// Classified requests, in `positions` order.
+    requests: Vec<ClassifiedRequest>,
+    /// Sampled verdict provenance, tagged with global record position.
+    provenance: Vec<(usize, VerdictProvenance)>,
+    /// The per-record and per-user degradation counters (refmap misses,
+    /// broken redirect chains, content-type fallbacks).
+    partials: DegradationReport,
+}
+
+/// The per-user stages over the records at `positions` (ascending global
+/// indices into `objects`, covering every record of each user they
+/// touch): pass 1 builds each user's referrer map and provisional
+/// content types, pass 2 backfills redirecting requests' types from
+/// their targets, pass 3 normalizes and classifies.
+fn classify_users(
+    objects: &[WebObject],
+    positions: &[usize],
+    classifier: &PassiveClassifier,
+    normalizer: &UrlNormalizer,
+    opts: PipelineOptions,
+    tracer: Option<&Tracer>,
+    registry: &obs::Registry,
+) -> UserStages {
+    let mut partials = DegradationReport::default();
+
+    // Pass 1: per-user referrer map + provisional types.
+    let mut span = registry.span_with("adscope_stage", &[("stage", "refmap")]);
+    span.count("records_in", positions.len() as u64);
+    let mut per_user: HashMap<(u32, Option<&str>), RefMap> = HashMap::new();
+    let mut pages: Vec<Option<Url>> = Vec::with_capacity(positions.len());
+    let mut categories: Vec<ContentCategory> = Vec::with_capacity(positions.len());
+    // Per-record stage facts (Copy), collected only while tracing.
+    let mut metas: Vec<RecordMeta> = Vec::new();
+    // Record idx → local position, for backfill.
+    let mut local_of_idx: HashMap<usize, usize> = HashMap::with_capacity(positions.len());
+    let mut backfills: Vec<(usize, ContentCategory)> = Vec::new();
+    for (local, &pos) in positions.iter().enumerate() {
+        let obj = &objects[pos];
+        local_of_idx.insert(obj.idx, local);
+        let user_key = (obj.client_ip, obj.user_agent.as_deref());
+        let map = per_user
+            .entry(user_key)
+            .or_insert_with(|| RefMap::new(opts.refmap));
+        let entry = map.process(obj);
+        let (cat, cat_src) =
+            infer_category_traced(&obj.url, obj.content_type.as_deref(), opts.content);
+        if tracer.is_some() {
+            metas.push(RecordMeta {
+                page_source: entry.ctx.source,
+                hops: entry.ctx.hops,
+                via_redirect: entry.ctx.via_redirect,
+                content_source: cat_src,
+            });
+        }
+        if let Some(redirecting_idx) = entry.backfill_type_to {
+            backfills.push((redirecting_idx, cat));
+        }
+        if entry.ctx.page.is_none() {
+            partials.refmap_misses += 1;
+        }
+        pages.push(entry.ctx.page);
+        categories.push(cat);
+    }
+    for map in per_user.values() {
+        partials.broken_redirect_chains += map.redirects_inserted() - map.redirects_consumed();
+    }
+    span.count("users", per_user.len() as u64);
+    span.count("records_out", pages.len() as u64);
+    drop(span);
+
+    // Pass 2: redirect type backfill. The target is an earlier request of
+    // the same user, so it is always among `positions`.
+    let mut span = registry.span_with("adscope_stage", &[("stage", "backfill")]);
+    span.count("records_in", backfills.len() as u64);
+    let mut backfilled = 0u64;
+    for (idx, cat) in backfills {
+        if let Some(&local) = local_of_idx.get(&idx) {
+            if cat != ContentCategory::Other {
+                categories[local] = cat;
+                backfilled += 1;
+                if tracer.is_some() {
+                    metas[local].content_source = ContentSource::Redirect;
+                }
+            }
+        }
+    }
+    // A missing Content-Type that still ended with a usable category means
+    // the extension/backfill fallback recovered it.
+    for (local, &pos) in positions.iter().enumerate() {
+        if objects[pos].content_type.is_none() && categories[local] != ContentCategory::Other {
+            partials.content_type_fallbacks += 1;
+        }
+    }
+    span.count("records_out", backfilled);
+    drop(span);
+
+    // Pass 3: normalize + classify. One scratch per call keeps the
+    // compiled match path allocation-free.
+    let mut span = registry.span_with("adscope_stage", &[("stage", "classify")]);
+    span.count("records_in", positions.len() as u64);
+    let mut provenance: Vec<(usize, VerdictProvenance)> = Vec::new();
+    let mut scratch = abp_filter::ClassifyScratch::new();
+    let requests: Vec<ClassifiedRequest> = positions
+        .iter()
+        .enumerate()
+        .map(|(local, &pos)| {
+            let obj = &objects[pos];
+            let page = &pages[local];
+            let url = normalizer.normalize(&obj.url);
+            let (label, c) =
+                classifier.classify_traced_in(&url, page.as_ref(), categories[local], &mut scratch);
+            if let Some(t) = tracer {
+                if let Some(cause) = t.cause(obj.idx as u64, &c, page.is_none()) {
+                    provenance.push((
+                        pos,
+                        t.build(
+                            cause,
+                            obj,
+                            normalizer,
+                            classifier,
+                            page.as_ref(),
+                            metas[local],
+                            categories[local],
+                            &c,
+                        ),
+                    ));
+                }
+            }
+            let rule = classifier.primary_rule(&c);
+            ClassifiedRequest {
+                ts: obj.ts,
+                client_ip: obj.client_ip,
+                server_ip: obj.server_ip,
+                url,
+                page: page.clone(),
+                category: categories[local],
+                content_type: obj.content_type.clone(),
+                bytes: obj.bytes,
+                user_agent: obj.user_agent.clone(),
+                tcp_handshake_ms: obj.tcp_handshake_ms,
+                http_handshake_ms: obj.http_handshake_ms,
+                label,
+                rule,
+            }
+        })
+        .collect();
+    span.count("records_out", requests.len() as u64);
+    span.count(
+        "ads",
+        requests.iter().filter(|r| r.label.is_ad()).count() as u64,
+    );
+    drop(span);
+
+    UserStages {
+        requests,
+        provenance,
+        partials,
     }
 }
 
@@ -634,5 +778,67 @@ mod tests {
         ]);
         let out = classify_trace(&t, &classifier(), PipelineOptions::default());
         assert_eq!(out.ad_request_count(), 2);
+    }
+
+    /// Sixty records over seven clients and three User-Agents (one
+    /// absent), so every thread count splits users across shards.
+    fn mixed_trace() -> Trace {
+        let records = (0..60u32)
+            .map(|i| {
+                let (host, uri) = match i % 4 {
+                    0 => ("pub.example", "/".to_string()),
+                    1 => ("ads.example", format!("/creative{i}.gif")),
+                    2 => ("x.example", format!("/banners/{i}.gif")),
+                    _ => ("cdn.example", format!("/lib{i}.js")),
+                };
+                let mut r = tx(
+                    i as f64 * 0.1,
+                    i % 7,
+                    host,
+                    &uri,
+                    Some("http://pub.example/"),
+                    Some("image/gif"),
+                    None,
+                );
+                if let TraceRecord::Http(t) = &mut r {
+                    t.request.user_agent =
+                        ["UA-A", "UA-B"].get(i as usize % 3).map(|s| s.to_string());
+                }
+                r
+            })
+            .collect();
+        trace(records)
+    }
+
+    #[test]
+    fn output_is_identical_at_every_thread_count() {
+        let t = mixed_trace();
+        let c = classifier();
+        let one = classify_trace_in(&t, &c, PipelineOptions::default(), &obs::Registry::new());
+        for threads in [2usize, 3, 8] {
+            let reg = obs::Registry::new();
+            let par = classify_trace_sharded_in(&t, &c, PipelineOptions::default(), threads, &reg);
+            assert_eq!(par.requests, one.requests, "threads={threads}");
+            assert_eq!(par.degradation, one.degradation, "threads={threads}");
+            assert_eq!(par.dropped, one.dropped);
+            assert_eq!(par.https_flows, one.https_flows);
+            assert_eq!(par.meta, one.meta);
+        }
+    }
+
+    #[test]
+    fn empty_trace_classifies_to_empty() {
+        for threads in [1usize, 4] {
+            let reg = obs::Registry::new();
+            let out = classify_trace_sharded_in(
+                &trace(vec![]),
+                &classifier(),
+                PipelineOptions::default(),
+                threads,
+                &reg,
+            );
+            assert!(out.requests.is_empty());
+            assert_eq!(out.degradation, DegradationReport::default());
+        }
     }
 }

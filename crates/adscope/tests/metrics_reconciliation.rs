@@ -118,7 +118,7 @@ fn degradation_report_reconciles_with_exposition() {
 /// samples with the same totals as the sequential path.
 #[test]
 fn degradation_report_reconciles_after_sharded_merge() {
-    use adscope::shard::classify_trace_sharded_in;
+    use adscope::classify_trace_sharded_in;
 
     let trace = degraded_trace();
     let classifier = PassiveClassifier::new(vec![FilterList::parse("easylist", "/banner\n")]);

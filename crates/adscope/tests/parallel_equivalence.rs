@@ -10,9 +10,9 @@
 
 use abp_filter::FilterList;
 use adscope::classify::PassiveClassifier;
+use adscope::classify_trace_sharded_in;
 use adscope::pipeline::{classify_trace_in, PipelineOptions};
 use adscope::provenance::TraceOptions;
-use adscope::shard::classify_trace_sharded_in;
 use http_model::headers::{RequestHeaders, ResponseHeaders};
 use http_model::transaction::Method;
 use http_model::HttpTransaction;

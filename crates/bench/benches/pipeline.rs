@@ -1,8 +1,8 @@
 //! End-to-end pipeline throughput over a captured trace — the cost of each
 //! Figure-1 stage: extraction, page reconstruction, classification.
 
+use adscope::classify_trace_sharded;
 use adscope::pipeline::{classify_trace, extract_objects, PipelineOptions};
-use adscope::shard::classify_trace_sharded;
 use bench::{bench_classifier, bench_ecosystem, bench_trace};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;

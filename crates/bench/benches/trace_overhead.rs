@@ -16,9 +16,9 @@
 //! far below that). That configuration is still recorded, ungated, as
 //! `sharded_ppm_10000_exceptional` so its cost stays visible.
 
+use adscope::classify_trace_sharded;
 use adscope::pipeline::PipelineOptions;
 use adscope::provenance::TraceOptions;
-use adscope::shard::classify_trace_sharded;
 use bench::{bench_classifier, bench_ecosystem, bench_trace};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;

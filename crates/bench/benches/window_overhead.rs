@@ -8,8 +8,8 @@
 //! self-relative ratio against a lenient 15% CI ceiling — same
 //! noise-tolerance rationale as the trace-overhead gate.
 
+use adscope::classify_trace_sharded;
 use adscope::pipeline::PipelineOptions;
-use adscope::shard::classify_trace_sharded;
 use adscope::window::WindowOptions;
 use bench::{bench_classifier, bench_ecosystem, bench_trace};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};

@@ -18,8 +18,12 @@
 //!   paper's ISP vantage point, where capture loss and truncation are
 //!   routine and a monitoring pipeline must degrade rather than crash.
 
-use crate::json::{self, Value};
+use crate::json::{
+    self, field, field_f64, field_opt_str, field_opt_u64, field_str, field_u16, field_u32,
+    field_u64, Value,
+};
 use crate::record::{Trace, TraceMeta, TraceRecord};
+use crate::stream::ChunkReader;
 use http_model::headers::{RequestHeaders, ResponseHeaders};
 use http_model::transaction::{HttpTransaction, Method};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -182,67 +186,9 @@ pub fn write_trace<W: Write>(trace: &Trace, sink: W) -> Result<(), CodecError> {
 // Decoding
 // ---------------------------------------------------------------------------
 
-fn field<'v, 'a>(v: &'v Value<'a>, key: &str) -> Result<&'v Value<'a>, String> {
-    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-/// The one place a string field is copied out of the borrowed parse tree
-/// into the owned record — the parser itself no longer allocates for
-/// escape-free strings, so decode does exactly one allocation per kept
-/// string field.
-fn field_str(v: &Value<'_>, key: &str) -> Result<String, String> {
-    field(v, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("field `{key}` must be a string"))
-}
-
-fn field_f64(v: &Value<'_>, key: &str) -> Result<f64, String> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field `{key}` must be a number"))
-}
-
-fn field_u64(v: &Value<'_>, key: &str) -> Result<u64, String> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field `{key}` must be an unsigned integer"))
-}
-
-fn field_u32(v: &Value<'_>, key: &str) -> Result<u32, String> {
-    field(v, key)?
-        .as_u32()
-        .ok_or_else(|| format!("field `{key}` must be a u32"))
-}
-
-fn field_u16(v: &Value<'_>, key: &str) -> Result<u16, String> {
-    field(v, key)?
-        .as_u16()
-        .ok_or_else(|| format!("field `{key}` must be a u16"))
-}
-
-/// Optional string: absent or `null` → `None`; any non-string value errors.
-fn field_opt_str(v: &Value<'_>, key: &str) -> Result<Option<String>, String> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Str(s)) => Ok(Some(s.as_ref().to_owned())),
-        Some(_) => Err(format!("field `{key}` must be a string or null")),
-    }
-}
-
-fn field_opt_u64(v: &Value<'_>, key: &str) -> Result<Option<u64>, String> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(other) => other
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("field `{key}` must be an unsigned integer or null")),
-    }
-}
-
 fn decode_meta(v: &Value<'_>) -> Result<TraceMeta, String> {
     Ok(TraceMeta {
-        name: field_str(v, "name")?,
+        name: field_str(v, "name")?.to_owned(),
         duration_secs: field_f64(v, "duration_secs")?,
         subscribers: field_u64(v, "subscribers")? as usize,
         start_hour: field_u32(v, "start_hour")?,
@@ -269,16 +215,16 @@ fn decode_http(v: &Value<'_>) -> Result<HttpTransaction, String> {
         server_port: field_u16(v, "server_port")?,
         method: decode_method(v, "method")?,
         request: RequestHeaders {
-            host: field_str(request, "host")?,
-            uri: field_str(request, "uri")?,
-            referer: field_opt_str(request, "referer")?,
-            user_agent: field_opt_str(request, "user_agent")?,
+            host: field_str(request, "host")?.to_owned(),
+            uri: field_str(request, "uri")?.to_owned(),
+            referer: field_opt_str(request, "referer")?.map(str::to_owned),
+            user_agent: field_opt_str(request, "user_agent")?.map(str::to_owned),
         },
         response: ResponseHeaders {
             status: field_u16(response, "status")?,
-            content_type: field_opt_str(response, "content_type")?,
+            content_type: field_opt_str(response, "content_type")?.map(str::to_owned),
             content_length: field_opt_u64(response, "content_length")?,
-            location: field_opt_str(response, "location")?,
+            location: field_opt_str(response, "location")?.map(str::to_owned),
         },
         tcp_handshake_ms: field_f64(v, "tcp_handshake_ms")?,
         http_handshake_ms: field_f64(v, "http_handshake_ms")?,
@@ -434,9 +380,8 @@ impl CodecStats {
     /// `header_recovered` ORs (the header exists once per stream, so at
     /// most one of the merged readers can have recovered it).
     ///
-    /// This is what makes chunked parallel decode exact: each chunk
-    /// worker keeps its own `CodecStats`, and the in-order merge of those
-    /// equals the sequential reader's stats line for line.
+    /// [`ChunkReader`] reports per-chunk deltas; merging them in order
+    /// gives the whole stream's accounting.
     pub fn merge(&mut self, other: &CodecStats) {
         self.records_read += other.records_read;
         self.blank_lines += other.blank_lines;
@@ -471,125 +416,14 @@ impl std::fmt::Display for CodecStats {
     }
 }
 
-/// Read one newline-terminated line into `buf` (newline excluded), keeping
-/// at most `cap` bytes; the rest of an over-long line is consumed and
-/// discarded. Returns `Ok(None)` at EOF, otherwise `Ok(Some(overflowed))`.
-fn read_line_capped<R: BufRead>(
-    r: &mut R,
-    buf: &mut Vec<u8>,
-    cap: usize,
-) -> io::Result<Option<bool>> {
-    buf.clear();
-    let mut seen_any = false;
-    let mut overflow = false;
-    loop {
-        let chunk = r.fill_buf()?;
-        if chunk.is_empty() {
-            return Ok(if seen_any { Some(overflow) } else { None });
-        }
-        seen_any = true;
-        let (take, consumed, done) = match chunk.iter().position(|&b| b == b'\n') {
-            Some(idx) => (&chunk[..idx], idx + 1, true),
-            None => (chunk, chunk.len(), false),
-        };
-        let room = cap.saturating_sub(buf.len());
-        if take.len() > room {
-            overflow = true;
-            buf.extend_from_slice(&take[..room]);
-        } else {
-            buf.extend_from_slice(take);
-        }
-        r.consume(consumed);
-        if done {
-            return Ok(Some(overflow));
-        }
-    }
-}
-
-/// What the lossy path decided about one raw line. One function makes
-/// this call for both the streaming [`TraceReader`] and the chunked
-/// parallel decoder, so identical bytes always produce the identical
-/// keep/skip verdict — the foundation of the parallel-equals-sequential
-/// guarantee.
-//
-// The Record variant dominates the enum's size, but every value is
-// consumed on the spot (moved into the output Vec or dropped), so
-// boxing it would trade one stack move per line for one heap
-// allocation per record on the hottest path in the codec.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum LossyLine {
-    /// Whitespace-only line; tolerated, tallied separately.
-    Blank,
-    /// A decodable record.
-    Record(TraceRecord),
-    /// Not valid JSON.
-    BadJson,
-    /// Valid JSON, wrong shape.
-    BadSchema,
-    /// Invalid UTF-8.
-    NonUtf8,
-    /// Longer than [`MAX_LINE_BYTES`].
-    Oversize,
-}
-
-/// Decide what to do with one line (newline excluded). `overflow` marks a
-/// line whose tail was truncated at [`MAX_LINE_BYTES`] by the capped
-/// streaming read, or measured over the cap by the chunked decoder.
-pub(crate) fn decode_line_lossy(buf: &[u8], overflow: bool) -> LossyLine {
-    if overflow {
-        return LossyLine::Oversize;
-    }
-    let Ok(text) = std::str::from_utf8(buf) else {
-        return LossyLine::NonUtf8;
-    };
-    let text = text.trim();
-    if text.is_empty() {
-        return LossyLine::Blank;
-    }
-    let Ok(value) = json::parse(text) else {
-        return LossyLine::BadJson;
-    };
-    match decode_record(&value) {
-        Ok(rec) => LossyLine::Record(rec),
-        Err(_) => LossyLine::BadSchema,
-    }
-}
-
-/// Metric handles for a lossy reader, bound once at construction so the
-/// per-record hot path is a relaxed atomic add, never a registry lookup.
-#[derive(Debug, Clone)]
-pub(crate) struct ReaderMetrics {
-    pub(crate) records: obs::Counter,
-    pub(crate) bytes: obs::Counter,
-    pub(crate) resync_bad_json: obs::Counter,
-    pub(crate) resync_bad_schema: obs::Counter,
-    pub(crate) resync_non_utf8: obs::Counter,
-    pub(crate) resync_oversize: obs::Counter,
-}
-
-impl ReaderMetrics {
-    pub(crate) fn bind(registry: &obs::Registry) -> ReaderMetrics {
-        let resync = |reason| registry.counter_with("netsim_resync_total", &[("reason", reason)]);
-        ReaderMetrics {
-            records: registry.counter("netsim_lossy_records_read_total"),
-            bytes: registry.counter("netsim_lossy_bytes_read_total"),
-            resync_bad_json: resync("bad_json"),
-            resync_bad_schema: resync("bad_schema"),
-            resync_non_utf8: resync("non_utf8"),
-            resync_oversize: resync("oversize"),
-        }
-    }
-}
-
 /// The decode-side window schema: per-window record/protocol/byte series
-/// keyed on each record's trace timestamp. One instance per decode unit
-/// (the whole stream sequentially, one chunk in the parallel readers).
+/// keyed on each record's trace timestamp.
 ///
 /// The watermark is infinite, so windowing here is **order-insensitive**:
-/// chunk partials merged with [`obs::WindowReport::merge`] equal the
-/// whole-stream report regardless of how the chunk boundaries fell —
-/// the property that lets the parallel readers window per chunk and
-/// merge at the scatter-merge point.
+/// partials merged with [`obs::WindowReport::merge`] equal the
+/// whole-stream report regardless of where they were cut — the property
+/// that lets the streaming pipeline checkpoint its decode windows and
+/// merge them on resume.
 #[derive(Debug)]
 pub struct DecodeWindows {
     engine: obs::WindowEngine,
@@ -644,7 +478,11 @@ impl DecodeWindows {
     }
 }
 
-/// A streaming, loss-tolerant trace reader.
+/// Records a [`TraceReader`] decodes ahead per chunk.
+const READ_AHEAD_RECORDS: usize = 1024;
+
+/// A streaming, loss-tolerant trace reader: a record-at-a-time view of
+/// [`ChunkReader`], the one lossy decoder.
 ///
 /// Yields every record it can decode and resyncs at the next newline
 /// after any line it cannot, tallying skips in [`CodecStats`]. A corrupt
@@ -656,12 +494,9 @@ impl DecodeWindows {
 /// registry (`netsim_lossy_*`, `netsim_resync_total{reason=...}`) or the
 /// one passed to [`TraceReader::with_registry`].
 pub struct TraceReader<R: Read> {
-    reader: BufReader<R>,
-    meta: TraceMeta,
+    chunks: ChunkReader<R>,
+    pending: std::vec::IntoIter<TraceRecord>,
     stats: CodecStats,
-    buf: Vec<u8>,
-    done: bool,
-    metrics: ReaderMetrics,
 }
 
 impl<R: Read> TraceReader<R> {
@@ -675,43 +510,20 @@ impl<R: Read> TraceReader<R> {
         source: R,
         registry: &obs::Registry,
     ) -> Result<TraceReader<R>, CodecError> {
-        let metrics = ReaderMetrics::bind(registry);
-        let mut reader = BufReader::new(source);
-        let mut stats = CodecStats::default();
-        let mut buf = Vec::new();
-        let first = read_line_capped(&mut reader, &mut buf, MAX_LINE_BYTES)?;
-        let meta = match first {
-            Some(false) => {
-                let text = String::from_utf8_lossy(&buf);
-                match decode_header(&text) {
-                    Ok(meta) => meta,
-                    Err(_) => {
-                        stats.header_recovered = true;
-                        recovered_meta()
-                    }
-                }
-            }
-            _ => {
-                stats.header_recovered = true;
-                recovered_meta()
-            }
-        };
         Ok(TraceReader {
-            reader,
-            meta,
-            stats,
-            buf,
-            done: false,
-            metrics,
+            chunks: ChunkReader::with_registry(source, READ_AHEAD_RECORDS, registry)?,
+            pending: Vec::new().into_iter(),
+            stats: CodecStats::default(),
         })
     }
 
     /// Trace metadata from the header (or the recovery placeholder).
     pub fn meta(&self) -> &TraceMeta {
-        &self.meta
+        self.chunks.meta()
     }
 
-    /// Accounting so far.
+    /// Accounting of every line decoded so far (which runs up to
+    /// [`READ_AHEAD_RECORDS`] records ahead of the last one yielded).
     pub fn stats(&self) -> &CodecStats {
         &self.stats
     }
@@ -723,47 +535,14 @@ impl<R: Read> TraceReader<R> {
 
     /// Next decodable record, skipping (and counting) corrupt lines.
     pub fn next_record(&mut self) -> Option<TraceRecord> {
-        while !self.done {
-            let read = read_line_capped(&mut self.reader, &mut self.buf, MAX_LINE_BYTES);
-            let overflow = match read {
-                Ok(Some(overflow)) => overflow,
-                Ok(None) => {
-                    self.done = true;
-                    return None;
-                }
-                Err(_) => {
-                    self.stats.io_errors += 1;
-                    self.done = true;
-                    return None;
-                }
-            };
-            match decode_line_lossy(&self.buf, overflow) {
-                LossyLine::Record(rec) => {
-                    self.stats.records_read += 1;
-                    self.metrics.records.inc();
-                    self.metrics.bytes.add(self.buf.len() as u64 + 1);
-                    return Some(rec);
-                }
-                LossyLine::Blank => self.stats.blank_lines += 1,
-                LossyLine::BadJson => {
-                    self.stats.skipped_bad_json += 1;
-                    self.metrics.resync_bad_json.inc();
-                }
-                LossyLine::BadSchema => {
-                    self.stats.skipped_bad_schema += 1;
-                    self.metrics.resync_bad_schema.inc();
-                }
-                LossyLine::NonUtf8 => {
-                    self.stats.skipped_non_utf8 += 1;
-                    self.metrics.resync_non_utf8.inc();
-                }
-                LossyLine::Oversize => {
-                    self.stats.skipped_oversize += 1;
-                    self.metrics.resync_oversize.inc();
-                }
+        loop {
+            if let Some(rec) = self.pending.next() {
+                return Some(rec);
             }
+            let chunk = self.chunks.next_chunk()?;
+            self.stats.merge(&chunk.stats);
+            self.pending = chunk.records.into_iter();
         }
-        None
     }
 }
 
@@ -774,24 +553,11 @@ impl<R: Read> Iterator for TraceReader<R> {
     }
 }
 
-pub(crate) fn recovered_meta() -> TraceMeta {
-    TraceMeta {
-        name: "<recovered>".to_string(),
-        duration_secs: 0.0,
-        subscribers: 0,
-        start_hour: 0,
-        start_weekday: 0,
-    }
-}
-
 /// Read a trace leniently, collecting every decodable record plus the
 /// skip accounting. Only an I/O failure on the header line returns `Err`.
 pub fn read_trace_lossy<R: Read>(source: R) -> Result<(Trace, CodecStats), CodecError> {
     let mut reader = TraceReader::new(source)?;
-    let mut records = Vec::new();
-    while let Some(r) = reader.next_record() {
-        records.push(r);
-    }
+    let records = reader.by_ref().collect();
     let meta = reader.meta().clone();
     Ok((Trace { meta, records }, reader.into_stats()))
 }

@@ -363,6 +363,97 @@ impl<'a> Parser<'a> {
 }
 
 // ---------------------------------------------------------------------------
+// Field accessors
+// ---------------------------------------------------------------------------
+//
+// Typed lookups into a parsed object for schema decoders (the trace codec
+// and the stream checkpoint). Every error names the offending field.
+
+/// The value under `key`, or an error naming the missing field.
+pub fn field<'v, 'a>(v: &'v Value<'a>, key: &str) -> Result<&'v Value<'a>, String> {
+    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
+}
+
+/// A string field, borrowed from the parse tree.
+pub fn field_str<'v>(v: &'v Value<'_>, key: &str) -> Result<&'v str, String> {
+    field(v, key)?
+        .as_str()
+        .ok_or_else(|| format!("field `{key}` must be a string"))
+}
+
+/// A numeric field (integer or float).
+pub fn field_f64(v: &Value<'_>, key: &str) -> Result<f64, String> {
+    field(v, key)?
+        .as_f64()
+        .ok_or_else(|| format!("field `{key}` must be a number"))
+}
+
+/// An unsigned integer field.
+pub fn field_u64(v: &Value<'_>, key: &str) -> Result<u64, String> {
+    field(v, key)?
+        .as_u64()
+        .ok_or_else(|| format!("field `{key}` must be an unsigned integer"))
+}
+
+/// An unsigned integer field, as a count.
+pub fn field_usize(v: &Value<'_>, key: &str) -> Result<usize, String> {
+    Ok(field_u64(v, key)? as usize)
+}
+
+/// A `u32` field.
+pub fn field_u32(v: &Value<'_>, key: &str) -> Result<u32, String> {
+    field(v, key)?
+        .as_u32()
+        .ok_or_else(|| format!("field `{key}` must be a u32"))
+}
+
+/// A `u16` field.
+pub fn field_u16(v: &Value<'_>, key: &str) -> Result<u16, String> {
+    field(v, key)?
+        .as_u16()
+        .ok_or_else(|| format!("field `{key}` must be a u16"))
+}
+
+/// Optional string: absent or `null` → `None`; any non-string value errors.
+pub fn field_opt_str<'v>(v: &'v Value<'_>, key: &str) -> Result<Option<&'v str>, String> {
+    match v.get(key) {
+        None | Some(Value::Null) => Ok(None),
+        Some(Value::Str(s)) => Ok(Some(s.as_ref())),
+        Some(_) => Err(format!("field `{key}` must be a string or null")),
+    }
+}
+
+/// Optional unsigned integer: absent or `null` → `None`.
+pub fn field_opt_u64(v: &Value<'_>, key: &str) -> Result<Option<u64>, String> {
+    match v.get(key) {
+        None | Some(Value::Null) => Ok(None),
+        Some(other) => other
+            .as_u64()
+            .map(Some)
+            .ok_or_else(|| format!("field `{key}` must be an unsigned integer or null")),
+    }
+}
+
+/// An array field's elements.
+pub fn field_array<'v, 'a>(v: &'v Value<'a>, key: &str) -> Result<&'v [Value<'a>], String> {
+    match field(v, key)? {
+        Value::Array(a) => Ok(a),
+        _ => Err(format!("field `{key}` must be an array")),
+    }
+}
+
+/// An object field's `(key, value)` pairs.
+pub fn field_object<'v, 'a>(
+    v: &'v Value<'a>,
+    key: &str,
+) -> Result<&'v [(Cow<'a, str>, Value<'a>)], String> {
+    match field(v, key)? {
+        Value::Object(o) => Ok(o),
+        _ => Err(format!("field `{key}` must be an object")),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Writing
 // ---------------------------------------------------------------------------
 

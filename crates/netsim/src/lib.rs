@@ -25,9 +25,6 @@
 //!   loss, truncation, garbling, missing headers, clock skew, duplicates.
 //! * [`json`] — the minimal panic-free JSON layer behind the codec, with
 //!   a borrowed fast path so escape-free strings never allocate.
-//! * [`parallel`] — chunked multi-core decode over the same codec:
-//!   byte-identical to the sequential readers, with per-chunk
-//!   [`codec::CodecStats`] merged exactly.
 //! * [`stream`] — incremental chunk-by-chunk decode with byte-offset
 //!   accounting (the checkpoint/resume substrate) and a record-at-a-time
 //!   [`stream::TraceWriter`] dual of [`codec::write_trace`].
@@ -42,7 +39,6 @@ pub mod faults;
 pub mod json;
 pub mod latency;
 pub mod nat;
-pub mod parallel;
 pub mod record;
 pub mod rtt;
 pub mod stream;

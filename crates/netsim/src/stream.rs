@@ -1,23 +1,19 @@
 //! Incremental trace streaming: chunk-by-chunk decode and record-by-record
 //! encode, with byte-offset accounting for checkpoint/resume.
 //!
-//! [`crate::codec::TraceReader`] already decodes without materializing the
-//! trace, but it neither batches records (the unit the streaming pipeline
-//! sends over its bounded channels) nor tracks how many input bytes each
-//! record consumed (the unit a checkpoint manifest must store to resume a
-//! killed run). [`ChunkReader`] adds both while reusing the codec's exact
-//! per-line keep/skip verdict ([`crate::codec::decode_line_lossy`]) and
-//! header-recovery policy, so a chunked read yields byte-for-byte the same
-//! records and [`CodecStats`] totals as the one-shot lossy reader.
+//! [`ChunkReader`] is the one lossy decoder: it skips and tallies corrupt
+//! lines, recovers a damaged header with placeholder metadata, batches
+//! records into chunks (the unit the streaming pipeline sends over its
+//! bounded channels) and tracks the byte offset each chunk ends at (the
+//! unit a checkpoint manifest stores to resume a killed run).
+//! [`crate::codec::TraceReader`] and [`crate::codec::read_trace_lossy`]
+//! are record-at-a-time and whole-trace views of it.
 //!
 //! [`TraceWriter`] is the encode-side dual: it emits the same bytes as
 //! [`crate::codec::write_trace`] one record at a time, so the generator
 //! can persist a trace while streaming it without a full-trace `Vec`.
 
-use crate::codec::{
-    self, CodecError, CodecStats, LossyLine, ReaderMetrics, FORMAT_NAME, FORMAT_VERSION,
-    MAX_LINE_BYTES,
-};
+use crate::codec::{self, CodecError, CodecStats, FORMAT_NAME, FORMAT_VERSION, MAX_LINE_BYTES};
 use crate::json;
 use crate::record::{TraceMeta, TraceRecord};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -37,9 +33,11 @@ pub struct StreamChunk {
     pub end_offset: u64,
 }
 
-/// Like the codec's capped line read, but also reports how many input
-/// bytes the line consumed (newline included) so the caller can maintain
-/// an exact byte offset for resume.
+/// Read one newline-terminated line into `buf` (newline excluded), keeping
+/// at most `cap` bytes; the rest of an over-long line is consumed and
+/// discarded. Returns `Ok(None)` at EOF, otherwise whether the line
+/// overflowed and how many input bytes it consumed (newline included),
+/// so the caller can maintain an exact byte offset for resume.
 fn read_line_counted<R: BufRead>(
     r: &mut R,
     buf: &mut Vec<u8>,
@@ -74,13 +72,94 @@ fn read_line_counted<R: BufRead>(
     }
 }
 
+/// What the lossy path decided about one raw line.
+//
+// The Record variant dominates the enum's size, but every value is
+// consumed on the spot (moved into the output Vec or dropped), so
+// boxing it would trade one stack move per line for one heap
+// allocation per record on the hottest path in the codec.
+#[allow(clippy::large_enum_variant)]
+enum LossyLine {
+    /// Whitespace-only line; tolerated, tallied separately.
+    Blank,
+    /// A decodable record.
+    Record(TraceRecord),
+    /// Not valid JSON.
+    BadJson,
+    /// Valid JSON, wrong shape.
+    BadSchema,
+    /// Invalid UTF-8.
+    NonUtf8,
+    /// Longer than [`MAX_LINE_BYTES`].
+    Oversize,
+}
+
+/// Decide what to do with one line (newline excluded). `overflow` marks a
+/// line whose tail was truncated at [`MAX_LINE_BYTES`] by the capped
+/// line read.
+fn decode_line_lossy(buf: &[u8], overflow: bool) -> LossyLine {
+    if overflow {
+        return LossyLine::Oversize;
+    }
+    let Ok(text) = std::str::from_utf8(buf) else {
+        return LossyLine::NonUtf8;
+    };
+    let text = text.trim();
+    if text.is_empty() {
+        return LossyLine::Blank;
+    }
+    let Ok(value) = json::parse(text) else {
+        return LossyLine::BadJson;
+    };
+    match codec::decode_record(&value) {
+        Ok(rec) => LossyLine::Record(rec),
+        Err(_) => LossyLine::BadSchema,
+    }
+}
+
+/// Metric handles for a lossy reader, bound once at construction so the
+/// per-record hot path is a relaxed atomic add, never a registry lookup.
+#[derive(Debug, Clone)]
+struct ReaderMetrics {
+    records: obs::Counter,
+    bytes: obs::Counter,
+    resync_bad_json: obs::Counter,
+    resync_bad_schema: obs::Counter,
+    resync_non_utf8: obs::Counter,
+    resync_oversize: obs::Counter,
+}
+
+impl ReaderMetrics {
+    fn bind(registry: &obs::Registry) -> ReaderMetrics {
+        let resync = |reason| registry.counter_with("netsim_resync_total", &[("reason", reason)]);
+        ReaderMetrics {
+            records: registry.counter("netsim_lossy_records_read_total"),
+            bytes: registry.counter("netsim_lossy_bytes_read_total"),
+            resync_bad_json: resync("bad_json"),
+            resync_bad_schema: resync("bad_schema"),
+            resync_non_utf8: resync("non_utf8"),
+            resync_oversize: resync("oversize"),
+        }
+    }
+}
+
+/// Placeholder metadata for a stream whose header is missing or corrupt.
+fn recovered_meta() -> TraceMeta {
+    TraceMeta {
+        name: "<recovered>".to_string(),
+        duration_secs: 0.0,
+        subscribers: 0,
+        start_hour: 0,
+        start_weekday: 0,
+    }
+}
+
 /// A loss-tolerant chunked trace reader with byte-offset accounting.
 ///
-/// Same decode policy as [`crate::codec::TraceReader`] — corrupt lines are
-/// skipped and tallied, a damaged header is replaced with placeholder
-/// metadata — but records arrive in batches of up to `chunk_records`, each
-/// carrying the byte offset of its end so a checkpoint can name an exact
-/// resume point.
+/// Corrupt lines are skipped and tallied, a damaged header is replaced
+/// with placeholder metadata, and records arrive in batches of up to
+/// `chunk_records`, each carrying the byte offset of its end so a
+/// checkpoint can name an exact resume point.
 pub struct ChunkReader<R: Read> {
     reader: BufReader<R>,
     meta: TraceMeta,
@@ -122,18 +201,18 @@ impl<R: Read> ChunkReader<R> {
                     Ok(meta) => meta,
                     Err(_) => {
                         header_recovered = true;
-                        codec::recovered_meta()
+                        recovered_meta()
                     }
                 }
             }
             Some((true, consumed)) => {
                 offset = consumed;
                 header_recovered = true;
-                codec::recovered_meta()
+                recovered_meta()
             }
             None => {
                 header_recovered = true;
-                codec::recovered_meta()
+                recovered_meta()
             }
         };
         Ok(ChunkReader {
@@ -211,7 +290,7 @@ impl<R: Read> ChunkReader<R> {
                 }
             };
             self.offset += consumed;
-            match codec::decode_line_lossy(&self.buf, overflow) {
+            match decode_line_lossy(&self.buf, overflow) {
                 LossyLine::Record(rec) => {
                     stats.records_read += 1;
                     self.metrics.records.inc();

@@ -21,26 +21,34 @@
 //! The manifest is rendered as a single deterministic JSON object using
 //! the same escaping rules as `netsim::json::write_str` (this crate is
 //! dependency-free, so the writer lives here; `experiments verify`
-//! parses it back with `netsim::json::parse`) and written atomically —
-//! tmp file, then rename — so a crashed run never leaves a torn
-//! manifest next to a complete artifact.
+//! parses it back with `netsim::json::parse`) and written with
+//! [`atomic_write`] — unique tmp file, fsync, rename, directory fsync —
+//! so a crashed run never leaves a torn manifest next to a complete
+//! artifact, and concurrent writers never clobber each other's tmp file.
 
 use crate::events::write_json_str;
 use std::fmt::Write as _;
-use std::io::{self, Read, Write as _};
+use std::io::{self, Read};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a 64-bit hash of `bytes`.
+/// FNV-1a 64-bit hash of `bytes` — the workspace's one deterministic
+/// hash (digests, trace ids, sketches, shard routing).
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
+    fnv64_extend(FNV_OFFSET, bytes)
+}
+
+/// Fold `bytes` into a running FNV-1a 64-bit hash `h` (start from
+/// [`FNV_OFFSET`]). Hashing a sequence of slices this way equals
+/// [`fnv64`] of their concatenation.
+pub fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -58,10 +66,7 @@ pub fn fnv64_file(path: &Path) -> io::Result<(u64, u64)> {
             break;
         }
         len += n as u64;
-        for &b in &buf[..n] {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
+        h = fnv64_extend(h, &buf[..n]);
     }
     Ok((h, len))
 }
@@ -300,22 +305,72 @@ impl RunManifest {
         out
     }
 
-    /// Write the manifest atomically: serialize to `<path>.tmp`, fsync,
-    /// rename over `path`. A reader never observes a torn manifest.
+    /// Write the manifest with [`atomic_write`], creating its directory
+    /// first. A reader never observes a torn manifest.
     pub fn write_atomic(&self, path: &Path) -> io::Result<()> {
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir)?;
             }
         }
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(self.to_json().as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
+        atomic_write(path, |w| w.write_all(self.to_json().as_bytes()))
     }
+}
+
+/// Distinguishes the temporary files of concurrent writers in one process.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Replace `path` atomically and durably with the bytes `fill` writes.
+///
+/// The bytes go to a temporary file in `path`'s directory whose name is
+/// unique per process and call (`.<name>.<pid>.<seq>.tmp`), so concurrent
+/// writers — threads or processes — never share one. The file is
+/// fsynced, renamed over `path`, and the directory is fsynced so the
+/// rename itself survives power loss. Readers see the old contents or
+/// the new, never a torn mix; with concurrent writers the last rename
+/// wins. On error the temporary file is removed.
+pub fn atomic_write(
+    path: &Path,
+    fill: impl FnOnce(&mut dyn io::Write) -> io::Result<()>,
+) -> io::Result<()> {
+    let name = path.file_name().ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{} names no file", path.display()),
+        )
+    })?;
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(name);
+    tmp_name.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = dir.join(tmp_name);
+    let result = (|| {
+        let mut w = io::BufWriter::new(std::fs::File::create(&tmp)?);
+        fill(&mut w)?;
+        w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        sync_dir(dir)
+    })();
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
+}
+
+/// Fsync a directory so a rename inside it is durable. Only Unix can
+/// open a directory as a file; elsewhere the rename is left to the OS.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    if cfg!(unix) {
+        std::fs::File::open(dir)?.sync_all()?;
+    }
+    Ok(())
 }
 
 fn write_str_array(out: &mut String, items: &[String]) {
@@ -339,6 +394,54 @@ mod tests {
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn extend_equals_hash_of_concatenation() {
+        let h = fnv64_extend(fnv64_extend(FNV_OFFSET, b"foo"), b"bar");
+        assert_eq!(h, fnv64(b"foobar"));
+        assert_eq!(fnv64_extend(FNV_OFFSET, b""), fnv64(b""));
+    }
+
+    #[test]
+    fn concurrent_manifest_writers_to_one_path_all_succeed() {
+        let dir = std::env::temp_dir().join(format!(
+            "obs_manifest_test_concurrent_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("run.manifest.json");
+        let manifests: Vec<RunManifest> = (0..8)
+            .map(|i| {
+                let mut m = RunManifest::new("stream", i);
+                m.config("writer", i);
+                m.args = vec!["x".repeat(4096 * (i as usize + 1))];
+                m
+            })
+            .collect();
+        std::thread::scope(|s| {
+            for m in &manifests {
+                let path = &path;
+                s.spawn(move || {
+                    for _ in 0..20 {
+                        m.write_atomic(path)
+                            .expect("every concurrent write succeeds");
+                    }
+                });
+            }
+        });
+        let last = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            manifests.iter().any(|m| m.to_json() == last),
+            "the final file is exactly one writer's complete manifest"
+        );
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n != "run.manifest.json")
+            .collect();
+        assert!(leftovers.is_empty(), "tmp files left behind: {leftovers:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -30,18 +30,13 @@
 //! identical serialized state, which is what lets the streaming
 //! scatter-merge checkpoint and resume them byte-for-byte.
 
+use crate::manifest::fnv64;
 use std::collections::BTreeMap;
 
-/// FNV-1a 64-bit over a byte slice — the workspace's standard
-/// deterministic hash (same constants as `shard_of` and the manifest
-/// digests).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-    }
+/// The workspace's FNV-1a 64-bit hash ([`fnv64`]), finished with a
+/// mixer for the [`Distinct64`] rank.
+fn mixed_hash(bytes: &[u8]) -> u64 {
+    let mut h = fnv64(bytes);
     // FNV's high bits avalanche poorly; the Distinct64 rank needs them
     // uniform, so finish with the splitmix64 mixer (pure bit math,
     // deterministic).
@@ -341,7 +336,7 @@ impl Distinct64 {
 
     /// Observe one key.
     pub fn observe(&mut self, key: &[u8]) {
-        let h = fnv1a(key);
+        let h = mixed_hash(key);
         let idx = (h & 63) as usize;
         // Rank = leading-zero count within the remaining 58 bits, + 1.
         // (`rest`'s top 6 bits are always zero after the shift, so they

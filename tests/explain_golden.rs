@@ -8,14 +8,23 @@
 //! and span ids are derived, no wall-clock appears), so the full stdout
 //! is compared byte-for-byte against the committed golden file.
 
-use std::process::Command;
+use std::process::{Command, Output};
+
+/// Run `experiments explain --url <url>` with artifacts under `dir`, so
+/// the two tests (which run in parallel) never share an output file.
+fn explain(dir: &str, url: &str) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["explain", "--url", url])
+        .env("ANNOYED_EXPERIMENTS_DIR", dir)
+        .output()
+        .expect("run experiments explain")
+}
 
 #[test]
 fn explain_whitelist_override_matches_golden() {
-    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["explain", "--url", "http://niceads.example/banner.gif"])
-        .output()
-        .expect("run experiments explain");
+    // The default directory: stdout names the artifact path, and the
+    // golden pins it.
+    let out = explain("target/experiments", "http://niceads.example/banner.gif");
     assert!(
         out.status.success(),
         "explain failed: {}",
@@ -46,17 +55,15 @@ fn explain_whitelist_override_matches_golden() {
 
 #[test]
 fn explain_ndjson_artifact_parses() {
-    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["explain", "--url", "http://ads.example/creative.gif"])
-        .output()
-        .expect("run experiments explain");
+    let dir = "target/experiments/explain_ndjson";
+    let out = explain(dir, "http://ads.example/creative.gif");
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         stdout.contains("trace: VALID"),
         "explain must self-validate its NDJSON: {stdout}"
     );
-    let ndjson = std::fs::read_to_string("target/experiments/explain_trace.ndjson")
+    let ndjson = std::fs::read_to_string(format!("{dir}/explain_trace.ndjson"))
         .expect("explain writes the NDJSON artifact");
     assert!(!ndjson.trim().is_empty());
     for line in ndjson.lines() {
