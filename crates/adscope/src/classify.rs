@@ -5,39 +5,6 @@ use abp_filter::{
 };
 use http_model::{ContentCategory, Url};
 
-/// Which match-path implementation the classifier runs.
-///
-/// Both produce byte-identical [`Classification`]s (the differential test
-/// suite pins this); `Compiled` is the default and is several times faster
-/// at EasyList scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineMode {
-    /// The arena-compiled, fingerprint-prefiltered engine.
-    #[default]
-    Compiled,
-    /// The original token-indexed `HashMap` engine.
-    Reference,
-}
-
-impl EngineMode {
-    /// Parse the `--engine` flag value.
-    pub fn parse(s: &str) -> Option<EngineMode> {
-        match s {
-            "compiled" => Some(EngineMode::Compiled),
-            "reference" => Some(EngineMode::Reference),
-            _ => None,
-        }
-    }
-
-    /// Canonical name, as accepted by [`EngineMode::parse`].
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EngineMode::Compiled => "compiled",
-            EngineMode::Reference => "reference",
-        }
-    }
-}
-
 /// Which conceptual list a verdict belongs to, independent of engine load
 /// order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -182,34 +149,27 @@ impl AdLabel {
     }
 }
 
-/// The passive classifier: an engine plus the list-kind map, wrapping the
-/// `(url, page, type)` invocation of §3.1.
+/// The passive classifier: the compiled engine plus the list-kind map,
+/// wrapping the `(url, page, type)` invocation of §3.1. The reference
+/// [`Engine`] it was compiled from stays reachable through
+/// [`PassiveClassifier::engine`] as the differential-test oracle.
 pub struct PassiveClassifier {
     engine: Engine,
-    compiled: Option<CompiledEngine>,
+    compiled: CompiledEngine,
     kinds: Vec<ListKind>,
 }
 
 impl PassiveClassifier {
     /// Build from filter lists (load order defines primary attribution for
-    /// multi-list hits; pass EasyList first like the paper). Uses the
-    /// compiled engine; see [`PassiveClassifier::with_mode`] to opt out.
+    /// multi-list hits; pass EasyList first like the paper).
     pub fn new(lists: Vec<FilterList>) -> PassiveClassifier {
-        PassiveClassifier::with_mode(lists, EngineMode::Compiled)
-    }
-
-    /// Build with an explicit [`EngineMode`] (the `--engine` flag).
-    pub fn with_mode(lists: Vec<FilterList>, mode: EngineMode) -> PassiveClassifier {
         let mut engine = Engine::new();
         let mut kinds = Vec::with_capacity(lists.len());
         for l in lists {
             kinds.push(ListKind::from_name(&l.name));
             engine.add_list(l);
         }
-        let compiled = match mode {
-            EngineMode::Compiled => Some(CompiledEngine::compile(&engine)),
-            EngineMode::Reference => None,
-        };
+        let compiled = CompiledEngine::compile(&engine);
         PassiveClassifier {
             engine,
             compiled,
@@ -217,22 +177,15 @@ impl PassiveClassifier {
         }
     }
 
-    /// The underlying engine (for the normalizer's query literals).
+    /// The reference engine (for the normalizer's query literals and as the
+    /// differential-test oracle).
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
 
-    /// The compiled engine, when running in [`EngineMode::Compiled`].
-    pub fn compiled(&self) -> Option<&CompiledEngine> {
-        self.compiled.as_ref()
-    }
-
-    /// The active engine mode.
-    pub fn mode(&self) -> EngineMode {
-        match self.compiled {
-            Some(_) => EngineMode::Compiled,
-            None => EngineMode::Reference,
-        }
+    /// The compiled engine every classification runs through.
+    pub fn compiled(&self) -> &CompiledEngine {
+        &self.compiled
     }
 
     /// Kind of an engine list id.
@@ -247,7 +200,7 @@ impl PassiveClassifier {
     }
 
     /// Classify one request with caller-owned scratch (zero-alloc match
-    /// path under the compiled engine).
+    /// path).
     pub fn classify_in(
         &self,
         url: &Url,
@@ -287,10 +240,7 @@ impl PassiveClassifier {
             source_url: page,
             category,
         };
-        let c = match &self.compiled {
-            Some(compiled) => compiled.classify(&req, scratch),
-            None => self.engine.classify_in(&req, scratch),
-        };
+        let c = self.compiled.classify(&req, scratch);
         (AdLabel::from_classification(&c, &self.kinds), c)
     }
 

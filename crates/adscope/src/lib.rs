@@ -44,7 +44,7 @@ pub mod stream;
 pub mod users;
 pub mod window;
 
-pub use classify::{AdLabel, Attribution, EngineMode, ListKind, PassiveClassifier};
+pub use classify::{AdLabel, Attribution, ListKind, PassiveClassifier};
 pub use degrade::DegradationReport;
 pub use pipeline::{
     classify_trace_sharded, classify_trace_sharded_in, ClassifiedRequest, ClassifiedTrace,

@@ -115,7 +115,7 @@ pub struct RefMap {
     /// the same target, or evicted past the horizon), so a streaming
     /// worker holding those records for potential backfill knows when to
     /// release them.
-    pub(crate) track_releases: bool,
+    track_releases: bool,
     released: Vec<usize>,
 }
 
@@ -288,8 +288,8 @@ impl RefMap {
         std::mem::take(&mut self.released)
     }
 
-    /// Rebuild a map from checkpointed state (streaming resume).
-    #[allow(clippy::too_many_arguments)]
+    /// Rebuild a streaming-mode map (release tracking on) from
+    /// checkpointed state; empty state gives a fresh streaming map.
     pub(crate) fn restore(
         opts: RefMapOptions,
         page_of: HashMap<String, (Url, f64, u16)>,
@@ -297,7 +297,6 @@ impl RefMap {
         last_page: Option<(Url, f64)>,
         redirects_inserted: usize,
         redirects_consumed: usize,
-        track_releases: bool,
     ) -> RefMap {
         RefMap {
             page_of,
@@ -306,7 +305,7 @@ impl RefMap {
             opts,
             redirects_inserted,
             redirects_consumed,
-            track_releases,
+            track_releases: true,
             released: Vec::new(),
         }
     }

@@ -39,7 +39,9 @@
 //!   user) atomically via rename. A killed run resumes from the last
 //!   checkpoint — at *any* thread count, since restored users re-route
 //!   by the same [`shard_of`] hash — and produces a final
-//!   report byte-identical to an uninterrupted run.
+//!   report byte-identical to an uninterrupted run. The checkpoint holds
+//!   only what resume cannot recompute: the alert timeline is a pure
+//!   function of the merged windows, so a resumed run rebuilds it.
 
 use crate::classify::PassiveClassifier;
 use crate::content::infer_category_traced;
@@ -52,7 +54,7 @@ use crate::population::{self, PopulationReport, PopulationSketches, UserTally};
 use crate::refmap::{RefMap, RefMapOptions};
 use crate::window::{WindowAggregator, COUNTERS as ADSCOPE_COUNTERS, RTB_HIST};
 use http_model::{ContentCategory, Url};
-use netsim::codec::{record_to_json, CodecStats, DecodeWindows, FORMAT_VERSION};
+use netsim::codec::{record_to_json, CodecStats, DecodeWindows, DECODE_COUNTERS, FORMAT_VERSION};
 use netsim::json::{
     self, field, field_array, field_f64, field_object, field_str, field_u64, field_usize, Value,
 };
@@ -73,13 +75,12 @@ use std::sync::{Arc, Mutex};
 /// Checkpoint file name inside the checkpoint directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.ndjson";
 /// Manifest schema version (bumped on incompatible layout changes).
-const CHECKPOINT_VERSION: u64 = 1;
+const CHECKPOINT_VERSION: u64 = 2;
 /// Manifest `kind` tag.
 const CHECKPOINT_KIND: &str = "annoyed-users-checkpoint";
-/// Counter series a decode window carries (mirrors
-/// `netsim::codec::DecodeWindows`; checkpoint deserialization maps names
-/// back onto these statics).
-const DECODE_COUNTERS: &[&str] = &["records", "http", "https", "bytes"];
+/// Bounded channel capacity, in batches, per worker. A full queue blocks
+/// the router — this is the backpressure point.
+const CHANNEL_CAPACITY: usize = 4;
 
 /// Errors from the streaming pipeline.
 #[derive(Debug)]
@@ -158,9 +159,6 @@ pub struct StreamOptions {
     /// Records per decoded chunk (the unit of routing and
     /// checkpointing).
     pub chunk_records: usize,
-    /// Bounded channel capacity, in batches, per worker. A full queue
-    /// blocks the router — this is the backpressure knob.
-    pub channel_capacity: usize,
     /// Checkpoint/resume; requires a seekable trace file.
     pub checkpoint: Option<CheckpointOptions>,
     /// Sidecar for quarantined records (unparseable URLs verbatim,
@@ -206,7 +204,6 @@ impl Default for StreamOptions {
             pipeline: PipelineOptions::default(),
             threads: 0,
             chunk_records: 8192,
-            channel_capacity: 4,
             checkpoint: None,
             quarantine_path: None,
             collect_requests: false,
@@ -430,7 +427,7 @@ impl UserState {
         UserState {
             // `restore` with empty state is `new` plus release tracking,
             // which the held-record protocol needs.
-            map: RefMap::restore(opts, HashMap::new(), HashMap::new(), None, 0, 0, true),
+            map: RefMap::restore(opts, HashMap::new(), HashMap::new(), None, 0, 0),
             held: HashMap::new(),
         }
     }
@@ -443,11 +440,7 @@ struct Core<'a> {
     normalizer: &'a UrlNormalizer,
     opts: PipelineOptions,
     windows: WindowAggregator,
-    refmap_misses: u64,
-    content_type_fallbacks: u64,
-    poisoned: u64,
-    requests: u64,
-    ads: u64,
+    totals: WorkerTotals,
     collect: bool,
     collected: Vec<(u64, ClassifiedRequest)>,
     /// Population sketch + exact per-user tally state (present only
@@ -504,7 +497,7 @@ impl Core<'_> {
     /// the worker's totals. Every record passes here exactly once.
     fn finalize(&mut self, h: HeldRecord) {
         if h.obj.content_type.is_none() && h.category != ContentCategory::Other {
-            self.content_type_fallbacks += 1;
+            self.totals.content_type_fallbacks += 1;
         }
         let url = self.normalizer.normalize(&h.obj.url);
         let (label, c) = self.classifier.classify_traced_in(
@@ -529,9 +522,9 @@ impl Core<'_> {
             label,
             rule,
         };
-        self.requests += 1;
+        self.totals.requests += 1;
         if req.label.is_ad() {
-            self.ads += 1;
+            self.totals.ads += 1;
         }
         self.windows.observe(&req);
         if let Some(pop) = &mut self.population {
@@ -548,7 +541,7 @@ enum ToWorker {
     /// restricted to this worker's users.
     Batch(Vec<(u64, WebObject)>),
     /// Checkpoint barrier: cut windows, serialize state, ack.
-    Barrier(u64),
+    Barrier,
 }
 
 /// A worker's population delta since its last cut: sketch state plus
@@ -559,15 +552,23 @@ struct PopulationDelta {
     tallies: Vec<((u32, Arc<str>), UserTally)>,
 }
 
-/// Barrier ack: window delta since the last cut, counter totals since
-/// worker start, and the serialized per-user state lines.
-struct WorkerAck {
-    windows: WindowReport,
+/// A worker's counters since it started. Workers restart at zero each
+/// run; the router adds every worker's totals onto the checkpointed base
+/// ([`Progress::set_worker_totals`]), at barriers and at the end alike.
+#[derive(Debug, Clone, Copy, Default)]
+struct WorkerTotals {
     refmap_misses: u64,
     content_type_fallbacks: u64,
     poisoned: u64,
     requests: u64,
     ads: u64,
+}
+
+/// Barrier ack: window delta since the last cut, counter totals since
+/// worker start, and the serialized per-user state lines.
+struct WorkerAck {
+    windows: WindowReport,
+    totals: WorkerTotals,
     state_lines: Vec<String>,
     population: Option<PopulationDelta>,
 }
@@ -576,11 +577,7 @@ struct WorkerAck {
 /// state-derived tallies (users, broken chains).
 struct WorkerFinal {
     windows: WindowReport,
-    refmap_misses: u64,
-    content_type_fallbacks: u64,
-    poisoned: u64,
-    requests: u64,
-    ads: u64,
+    totals: WorkerTotals,
     users: u64,
     broken_redirect_chains: u64,
     collected: Vec<(u64, ClassifiedRequest)>,
@@ -619,11 +616,7 @@ impl<'a> Worker<'a> {
                 normalizer,
                 opts,
                 windows: WindowAggregator::new(opts.window),
-                refmap_misses: 0,
-                content_type_fallbacks: 0,
-                poisoned: 0,
-                requests: 0,
-                ads: 0,
+                totals: WorkerTotals::default(),
                 collect,
                 collected: Vec::new(),
                 population: opts
@@ -658,7 +651,7 @@ impl<'a> Worker<'a> {
             self.core.opts.content,
         );
         if entry.ctx.page.is_none() {
-            self.core.refmap_misses += 1;
+            self.core.totals.refmap_misses += 1;
         }
         // Consume: this record stitched a redirect chain — backfill the
         // held redirecting record with this record's provisional
@@ -703,7 +696,7 @@ impl<'a> Worker<'a> {
         let backup = self.quarantine.as_ref().map(|_| obj.clone());
         let res = catch_unwind(AssertUnwindSafe(|| self.process_record(pos, obj)));
         if res.is_err() {
-            self.core.poisoned += 1;
+            self.core.totals.poisoned += 1;
             self.core.windows.observe_quarantined(ts);
             if let (Some(q), Some(b)) = (self.quarantine.as_ref(), backup) {
                 q.write_line(&record_to_json(&reconstruct_record(&b)));
@@ -719,11 +712,7 @@ impl<'a> Worker<'a> {
         let popts = self.core.opts.population;
         WorkerAck {
             windows: self.core.windows.cut(),
-            refmap_misses: self.core.refmap_misses,
-            content_type_fallbacks: self.core.content_type_fallbacks,
-            poisoned: self.core.poisoned,
-            requests: self.core.requests,
-            ads: self.core.ads,
+            totals: self.core.totals,
             state_lines,
             population: self.core.population.as_mut().map(|p| p.cut(popts)),
         }
@@ -749,11 +738,7 @@ impl<'a> Worker<'a> {
         let popts = self.core.opts.population;
         WorkerFinal {
             windows: self.core.windows.cut(),
-            refmap_misses: self.core.refmap_misses,
-            content_type_fallbacks: self.core.content_type_fallbacks,
-            poisoned: self.core.poisoned,
-            requests: self.core.requests,
-            ads: self.core.ads,
+            totals: self.core.totals,
             users: self.users.len() as u64,
             broken_redirect_chains: broken,
             collected: self.core.collected,
@@ -765,7 +750,7 @@ impl<'a> Worker<'a> {
 fn worker_loop(
     mut w: Worker<'_>,
     rx: parallel::Receiver<ToWorker>,
-    ack_tx: mpsc::Sender<(usize, u64, WorkerAck)>,
+    ack_tx: mpsc::Sender<(usize, WorkerAck)>,
     id: usize,
     slot: Arc<obs::health::WorkerHealth>,
     registry: &obs::Registry,
@@ -779,9 +764,9 @@ fn worker_loop(
                 }
                 slot.beat(registry.elapsed_ns(), n);
             }
-            ToWorker::Barrier(seq) => {
+            ToWorker::Barrier => {
                 let ack = w.barrier_ack();
-                if ack_tx.send((id, seq, ack)).is_err() {
+                if ack_tx.send((id, ack)).is_err() {
                     break;
                 }
             }
@@ -1011,6 +996,11 @@ fn user_from_line(line: &str, opts: RefMapOptions) -> Result<RestoredUser, Strin
     };
     let inserted = field_usize(&v, "inserted")?;
     let consumed = field_usize(&v, "consumed")?;
+    if consumed > inserted {
+        return Err(format!(
+            "user consumed {consumed} redirects but inserted only {inserted}"
+        ));
+    }
     let last_page = match field(&v, "last_page")? {
         Value::Null => None,
         Value::Array(a) if a.len() == 2 => {
@@ -1102,7 +1092,7 @@ fn user_from_line(line: &str, opts: RefMapOptions) -> Result<RestoredUser, Strin
     Ok(RestoredUser {
         client_ip,
         user_agent,
-        map: RefMap::restore(opts, page_of, pending, last_page, inserted, consumed, true),
+        map: RefMap::restore(opts, page_of, pending, last_page, inserted, consumed),
         held,
     })
 }
@@ -1111,7 +1101,6 @@ fn user_from_line(line: &str, opts: RefMapOptions) -> Result<RestoredUser, Strin
 struct Progress {
     offset: u64,
     chunks: u64,
-    seq: u64,
     next_pos: u64,
     next_http_idx: u64,
     prev_ts: f64,
@@ -1121,6 +1110,42 @@ struct Progress {
     ads: u64,
     https_flows: u64,
     quarantine_bytes: u64,
+}
+
+impl Progress {
+    /// The worker-counted totals this progress records — the base a run's
+    /// workers count on top of.
+    fn worker_totals(&self) -> WorkerTotals {
+        let d = &self.degradation;
+        WorkerTotals {
+            refmap_misses: d.refmap_misses as u64,
+            content_type_fallbacks: d.content_type_fallbacks as u64,
+            poisoned: d.poisoned_records as u64,
+            requests: self.requests,
+            ads: self.ads,
+        }
+    }
+
+    /// Record `base` plus every worker's totals since it started.
+    fn set_worker_totals<'a>(
+        &mut self,
+        base: WorkerTotals,
+        workers: impl IntoIterator<Item = &'a WorkerTotals>,
+    ) {
+        let mut t = base;
+        for w in workers {
+            t.refmap_misses += w.refmap_misses;
+            t.content_type_fallbacks += w.content_type_fallbacks;
+            t.poisoned += w.poisoned;
+            t.requests += w.requests;
+            t.ads += w.ads;
+        }
+        self.degradation.refmap_misses = t.refmap_misses as usize;
+        self.degradation.content_type_fallbacks = t.content_type_fallbacks as usize;
+        self.degradation.poisoned_records = t.poisoned as usize;
+        self.requests = t.requests;
+        self.ads = t.ads;
+    }
 }
 
 /// Router-side cumulative population state: worker deltas merged at
@@ -1290,7 +1315,8 @@ fn population_from_value(
             };
             buckets.push((idx, a[1].as_u64().ok_or("quantile bucket count")?));
         }
-        Ok(QuantileSketch::from_state(QUANTILE_GAMMA, zero, buckets))
+        QuantileSketch::from_state(QUANTILE_GAMMA, zero, buckets)
+            .ok_or_else(|| format!("quantile sketch `{k}` counts overflow"))
     };
     let mut sketches = PopulationSketches::new(opts);
     sketches.ad_domains = topk("ad_domains")?;
@@ -1332,105 +1358,6 @@ fn population_from_value(
     })
 }
 
-/// Alert-event kind keywords, as the `&'static` table
-/// [`obs::AlertEngineState`] events reference (checkpoint decode maps
-/// parsed strings back onto it).
-const ALERT_KINDS: &[&str] = &["pending", "firing", "resolved"];
-
-fn alerts_to_json(out: &mut String, st: &obs::AlertEngineState) {
-    let _ = write!(
-        out,
-        ",\"alerts\":{{\"rules_fnv\":{},\"updates\":{},\"detectors\":[",
-        st.rules_fnv, st.updates
-    );
-    for (i, words) in st.detectors.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        for (j, w) in words.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{w}");
-        }
-        out.push(']');
-    }
-    out.push_str("],\"phases\":[");
-    for (i, (p, breach, clear, since)) in st.phases.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{p},{breach},{clear},{since}]");
-    }
-    out.push_str("],\"events\":[");
-    for (i, (rule, window, kind, value, score)) in st.events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{rule},{window},\"{kind}\",{value},{score}]");
-    }
-    out.push_str("]}");
-}
-
-fn alerts_from_value(v: &Value<'_>) -> Result<obs::AlertEngineState, String> {
-    let rules_fnv = field_u64(v, "rules_fnv")?;
-    let updates = field_u64(v, "updates")?;
-    let mut detectors = Vec::new();
-    for words in field_array(v, "detectors")? {
-        let Value::Array(a) = words else {
-            return Err("detector state is not an array".into());
-        };
-        let mut ws = Vec::with_capacity(a.len());
-        for w in a {
-            ws.push(w.as_u64().ok_or("detector state word")?);
-        }
-        detectors.push(ws);
-    }
-    let mut phases = Vec::new();
-    for e in field_array(v, "phases")? {
-        let Value::Array(a) = e else {
-            return Err("alert phase is not an array".into());
-        };
-        if a.len() != 4 {
-            return Err("alert phase arity".into());
-        }
-        let p = a[0].as_u64().ok_or("alert phase tag")? as u8;
-        let breach = a[1].as_u64().ok_or("alert breach streak")? as u32;
-        let clear = a[2].as_u64().ok_or("alert clear streak")? as u32;
-        let since = match &a[3] {
-            Value::Int(i) => *i as i64,
-            _ => return Err("alert since index".into()),
-        };
-        phases.push((p, breach, clear, since));
-    }
-    let mut events = Vec::new();
-    for e in field_array(v, "events")? {
-        let Value::Array(a) = e else {
-            return Err("alert event is not an array".into());
-        };
-        if a.len() != 5 {
-            return Err("alert event arity".into());
-        }
-        let rule = a[0].as_u64().ok_or("alert event rule")?;
-        let window = match &a[1] {
-            Value::Int(i) => *i as i64,
-            _ => return Err("alert event window".into()),
-        };
-        let kind = static_name(ALERT_KINDS, a[2].as_str().ok_or("alert kind")?)?;
-        let value = a[3].as_u64().ok_or("alert value bits")?;
-        let score = a[4].as_u64().ok_or("alert score bits")?;
-        events.push((rule, window, kind, value, score));
-    }
-    Ok(obs::AlertEngineState {
-        rules_fnv,
-        detectors,
-        phases,
-        events,
-        updates,
-    })
-}
-
 fn manifest_to_json(
     hash: u64,
     meta: &TraceMeta,
@@ -1438,7 +1365,7 @@ fn manifest_to_json(
     windows: &WindowReport,
     decode_windows: &WindowReport,
     population: Option<&PopulationCum>,
-    alerts: Option<&obs::AlertEngineState>,
+    users: usize,
 ) -> String {
     let mut out = String::with_capacity(1024);
     let _ = write!(
@@ -1455,8 +1382,8 @@ fn manifest_to_json(
     );
     let _ = write!(
         out,
-        ",\"offset\":{},\"chunks\":{},\"seq\":{},\"next_pos\":{},\"next_http_idx\":{},\"prev_ts\":",
-        p.offset, p.chunks, p.seq, p.next_pos, p.next_http_idx
+        ",\"offset\":{},\"chunks\":{},\"next_pos\":{},\"next_http_idx\":{},\"users\":{users},\"prev_ts\":",
+        p.offset, p.chunks, p.next_pos, p.next_http_idx
     );
     // write_f64 renders non-finite as null; parse maps null back to -inf.
     push_json_f64(&mut out, p.prev_ts);
@@ -1492,9 +1419,6 @@ fn manifest_to_json(
     if let Some(p) = population {
         population_to_json(&mut out, p);
     }
-    if let Some(a) = alerts {
-        alerts_to_json(&mut out, a);
-    }
     out.push('}');
     out
 }
@@ -1507,7 +1431,6 @@ struct ResumeState {
     decode_windows: WindowReport,
     users: Vec<RestoredUser>,
     population: Option<PopulationCum>,
-    alerts: Option<obs::AlertEngineState>,
 }
 
 fn load_checkpoint(dir: &Path, opts: &StreamOptions) -> Result<ResumeState, StreamError> {
@@ -1518,7 +1441,13 @@ fn load_checkpoint(dir: &Path, opts: &StreamOptions) -> Result<ResumeState, Stre
 }
 
 fn decode_checkpoint(text: &str, opts: &StreamOptions) -> Result<ResumeState, String> {
-    let mut lines = text.lines();
+    // Every line the writer emits ends in a newline, so a file that does
+    // not was cut mid-line; the manifest's `users` count catches a cut at
+    // a line boundary.
+    let body = text
+        .strip_suffix('\n')
+        .ok_or("checkpoint is truncated (no final newline)")?;
+    let mut lines = body.split('\n');
     let manifest_line = lines.next().ok_or("empty checkpoint")?;
     let m = json::parse(manifest_line).map_err(|e| format!("bad manifest: {e}"))?;
     if field_str(&m, "kind")? != CHECKPOINT_KIND {
@@ -1572,7 +1501,6 @@ fn decode_checkpoint(text: &str, opts: &StreamOptions) -> Result<ResumeState, St
     let progress = Progress {
         offset: field_u64(&m, "offset")?,
         chunks: field_u64(&m, "chunks")?,
-        seq: field_u64(&m, "seq")?,
         next_pos: field_u64(&m, "next_pos")?,
         next_http_idx: field_u64(&m, "next_http_idx")?,
         prev_ts,
@@ -1585,21 +1513,21 @@ fn decode_checkpoint(text: &str, opts: &StreamOptions) -> Result<ResumeState, St
     };
     let windows = window_report_from_value(field(&m, "windows")?, ADSCOPE_COUNTERS, HIST_TABLE)?;
     let decode_windows =
-        window_report_from_value(field(&m, "decode_windows")?, DECODE_COUNTERS, &[])?;
+        window_report_from_value(field(&m, "decode_windows")?, &DECODE_COUNTERS, &[])?;
     let population = match m.get("population") {
         Some(pv) => Some(population_from_value(pv, opts.pipeline.population)?),
         None => None,
     };
-    let alerts = match m.get("alerts") {
-        Some(av) => Some(alerts_from_value(av)?),
-        None => None,
-    };
+    let want_users = field_usize(&m, "users")?;
     let mut users = Vec::new();
     for line in lines {
-        if line.is_empty() {
-            continue;
-        }
         users.push(user_from_line(line, opts.pipeline.refmap)?);
+    }
+    if users.len() != want_users {
+        return Err(format!(
+            "checkpoint is truncated: {} of {want_users} user lines",
+            users.len()
+        ));
     }
     Ok(ResumeState {
         meta,
@@ -1608,7 +1536,6 @@ fn decode_checkpoint(text: &str, opts: &StreamOptions) -> Result<ResumeState, St
         decode_windows,
         users,
         population,
-        alerts,
     })
 }
 
@@ -1655,7 +1582,7 @@ pub fn classify_stream_file(
                 f,
                 state.meta.clone(),
                 state.progress.offset,
-                state.progress.seq,
+                state.progress.chunks,
                 opts.chunk_records,
                 registry,
             );
@@ -1754,44 +1681,35 @@ where
 
     // Split the resume state into router progress, merged-window bases,
     // worker counter bases, and the per-worker user state.
-    let (
-        mut progress,
-        mut windows_cum,
-        mut decode_cum,
-        restored_users,
-        resumed_population,
-        resumed_alerts,
-    ) = match resume {
-        Some(r) => (
-            r.progress,
-            r.windows,
-            r.decode_windows,
-            r.users,
-            r.population,
-            r.alerts,
-        ),
-        None => (
-            Progress {
-                offset: 0,
-                chunks: 0,
-                seq: 0,
-                next_pos: 0,
-                next_http_idx: 0,
-                prev_ts: f64::NEG_INFINITY,
-                codec: CodecStats::default(),
-                degradation: DegradationReport::default(),
-                requests: 0,
-                ads: 0,
-                https_flows: 0,
-                quarantine_bytes: 0,
-            },
-            WindowReport::default(),
-            WindowReport::default(),
-            Vec::new(),
-            None,
-            None,
-        ),
-    };
+    let (mut progress, mut windows_cum, mut decode_cum, restored_users, resumed_population) =
+        match resume {
+            Some(r) => (
+                r.progress,
+                r.windows,
+                r.decode_windows,
+                r.users,
+                r.population,
+            ),
+            None => (
+                Progress {
+                    offset: 0,
+                    chunks: 0,
+                    next_pos: 0,
+                    next_http_idx: 0,
+                    prev_ts: f64::NEG_INFINITY,
+                    codec: CodecStats::default(),
+                    degradation: DegradationReport::default(),
+                    requests: 0,
+                    ads: 0,
+                    https_flows: 0,
+                    quarantine_bytes: 0,
+                },
+                WindowReport::default(),
+                WindowReport::default(),
+                Vec::new(),
+                None,
+            ),
+        };
     // Cumulative population state lives on the router (workers send
     // deltas); a resumed run picks up the checkpointed state verbatim.
     let mut population_cum = if popts.population.enabled {
@@ -1801,16 +1719,11 @@ where
     };
     // The alert engine lives on the router and re-evaluates the merged
     // report at every barrier — full recompute, so where the barriers
-    // fall cannot change the timeline. A resumed run restores the
-    // checkpointed image (the pack hash guards compatibility).
-    let mut alert_engine = if opts.alerts.is_empty() {
-        None
-    } else {
-        Some(match resumed_alerts {
-            Some(st) => obs::AlertEngine::from_state(opts.alerts.clone(), st).map_err(ck_err)?,
-            None => obs::AlertEngine::new(opts.alerts.clone()),
-        })
-    };
+    // fall cannot change the timeline. That also makes it stateless
+    // across a resume: a resumed run starts a fresh engine, and its next
+    // evaluation rebuilds the timeline from the restored windows.
+    let mut alert_engine =
+        (!opts.alerts.is_empty()).then(|| obs::AlertEngine::new(opts.alerts.clone()));
     // Unparseable records never reach a worker, so the router counts
     // them into the `quarantined` window series itself; the cuts merge
     // into the cumulative report exactly like worker deltas.
@@ -1818,11 +1731,7 @@ where
     let abp_set: HashSet<u32> = opts.abp_ips.iter().copied().collect();
     // Worker counters restart at zero each run; the manifest values
     // become the base the totals add onto.
-    let base_refmap = progress.degradation.refmap_misses;
-    let base_ctf = progress.degradation.content_type_fallbacks;
-    let base_poisoned = progress.degradation.poisoned_records;
-    let base_requests = progress.requests;
-    let base_ads = progress.ads;
+    let base_totals = progress.worker_totals();
 
     let mut per_worker_restores: Vec<Vec<RestoredUser>> =
         (0..nworkers).map(|_| Vec::new()).collect();
@@ -1857,12 +1766,12 @@ where
     let mut last_stalls = vec![0u64; nworkers];
 
     std::thread::scope(|scope| -> Result<StreamReport, StreamError> {
-        let (ack_tx, ack_rx) = mpsc::channel::<(usize, u64, WorkerAck)>();
+        let (ack_tx, ack_rx) = mpsc::channel::<(usize, WorkerAck)>();
         let mut senders: Vec<parallel::Sender<ToWorker>> = Vec::with_capacity(nworkers);
         let mut handles = Vec::with_capacity(nworkers);
         let normalizer = &normalizer;
         for (id, init) in per_worker_restores.into_iter().enumerate() {
-            let (tx, rx) = parallel::bounded::<ToWorker>(opts.channel_capacity);
+            let (tx, rx) = parallel::bounded::<ToWorker>(CHANNEL_CAPACITY);
             let ack_tx = ack_tx.clone();
             let q = quarantine.clone();
             let poison = opts.poison_host.as_deref();
@@ -1977,7 +1886,6 @@ where
 
             if let (Some(every), Some(ck)) = (checkpoint_every, opts.checkpoint.as_ref()) {
                 if progress.chunks % every == 0 {
-                    progress.seq = progress.chunks;
                     match run_barrier(&senders, &ack_rx) {
                         Ok(acks) => {
                             let dw = std::mem::replace(&mut decode_engine, DecodeWindows::hourly())
@@ -2004,18 +1912,7 @@ where
                                 // is going.
                                 cum.finish(popts.population).publish(registry);
                             }
-                            progress.degradation.refmap_misses = base_refmap
-                                + acks.iter().map(|a| a.refmap_misses as usize).sum::<usize>();
-                            progress.degradation.content_type_fallbacks = base_ctf
-                                + acks
-                                    .iter()
-                                    .map(|a| a.content_type_fallbacks as usize)
-                                    .sum::<usize>();
-                            progress.degradation.poisoned_records = base_poisoned
-                                + acks.iter().map(|a| a.poisoned as usize).sum::<usize>();
-                            progress.requests =
-                                base_requests + acks.iter().map(|a| a.requests).sum::<u64>();
-                            progress.ads = base_ads + acks.iter().map(|a| a.ads).sum::<u64>();
+                            progress.set_worker_totals(base_totals, acks.iter().map(|a| &a.totals));
                             progress.quarantine_bytes = match &quarantine {
                                 Some(q) => match q.flush_bytes() {
                                     Ok(b) => b,
@@ -2026,7 +1923,6 @@ where
                                 },
                                 None => 0,
                             };
-                            let alert_state = alert_engine.as_ref().map(obs::AlertEngine::state);
                             let manifest = manifest_to_json(
                                 hash,
                                 &meta,
@@ -2034,7 +1930,7 @@ where
                                 &windows_cum,
                                 &decode_cum,
                                 population_cum.as_ref(),
-                                alert_state.as_ref(),
+                                acks.iter().map(|a| a.state_lines.len()).sum(),
                             );
                             if let Err(e) = write_checkpoint(&ck.dir, &manifest, &acks) {
                                 loop_result = Err(e.into());
@@ -2086,25 +1982,13 @@ where
             windows_cum.merge(&f.windows);
         }
         windows_cum.merge(&router_windows.finish());
+        progress.set_worker_totals(base_totals, finals.iter().map(|f| &f.totals));
         let mut degradation = progress.degradation;
-        degradation.refmap_misses = base_refmap
-            + finals
-                .iter()
-                .map(|f| f.refmap_misses as usize)
-                .sum::<usize>();
-        degradation.content_type_fallbacks = base_ctf
-            + finals
-                .iter()
-                .map(|f| f.content_type_fallbacks as usize)
-                .sum::<usize>();
-        degradation.poisoned_records =
-            base_poisoned + finals.iter().map(|f| f.poisoned as usize).sum::<usize>();
         degradation.broken_redirect_chains = finals
             .iter()
             .map(|f| f.broken_redirect_chains as usize)
             .sum::<usize>();
-        let requests = base_requests + finals.iter().map(|f| f.requests).sum::<u64>();
-        let ad_requests = base_ads + finals.iter().map(|f| f.ads).sum::<u64>();
+        let (requests, ad_requests) = (progress.requests, progress.ads);
         let users = finals.iter().map(|f| f.users).sum::<u64>();
 
         if let Some(q) = &quarantine {
@@ -2184,17 +2068,17 @@ where
 /// Inject a barrier and collect one ack per worker, in worker order.
 fn run_barrier(
     senders: &[parallel::Sender<ToWorker>],
-    ack_rx: &mpsc::Receiver<(usize, u64, WorkerAck)>,
+    ack_rx: &mpsc::Receiver<(usize, WorkerAck)>,
 ) -> Result<Vec<WorkerAck>, StreamError> {
     for s in senders {
-        if s.send(ToWorker::Barrier(0)).is_err() {
+        if s.send(ToWorker::Barrier).is_err() {
             return Err(ck_err("a worker exited before the barrier"));
         }
     }
     let mut acks: Vec<Option<WorkerAck>> = senders.iter().map(|_| None).collect();
     let mut got = 0;
     while got < senders.len() {
-        let (w, _seq, ack) = ack_rx
+        let (w, ack) = ack_rx
             .recv()
             .map_err(|_| ck_err("workers hung up during the barrier"))?;
         if acks[w].replace(ack).is_none() {
@@ -2534,6 +2418,74 @@ mod tests {
             Err(StreamError::Checkpoint(msg)) => assert!(msg.contains("`chunks`"), "{msg}"),
             other => panic!("expected a checkpoint error, got {:?}", other.map(|_| ())),
         }
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_file(&path);
+    }
+
+    /// A damaged checkpoint is refused with a checkpoint error — never a
+    /// panic, never a silent partial resume. Covers every truncation
+    /// prefix of a real checkpoint (population sketches and redirect
+    /// state included) plus the two field corruptions that would
+    /// otherwise panic after decode: a user that consumed more redirects
+    /// than it inserted, and quantile-sketch counts that overflow.
+    #[test]
+    fn resume_refuses_a_truncated_or_corrupt_checkpoint() {
+        let trace = messy_trace(48);
+        let path = write_trace_file(&trace, "corrupt");
+        let dir = temp_path("corrupt-ck");
+        let _ = fs::remove_dir_all(&dir);
+        let mut o = stream_opts(2, 8);
+        o.pipeline.population.enabled = true;
+        o.checkpoint = Some(CheckpointOptions {
+            dir: dir.clone(),
+            every_chunks: 2,
+            resume: false,
+        });
+        o.stop_after_chunks = Some(4);
+        classify_stream_file(&path, &classifier(), &o, &obs::Registry::new()).unwrap();
+        let ck = dir.join(CHECKPOINT_FILE);
+        let good = fs::read(&ck).unwrap();
+        o.checkpoint.as_mut().unwrap().resume = true;
+        o.stop_after_chunks = None;
+        let refused = |bytes: &[u8]| {
+            fs::write(&ck, bytes).unwrap();
+            matches!(
+                classify_stream_file(&path, &classifier(), &o, &obs::Registry::new()),
+                Err(StreamError::Checkpoint(_))
+            )
+        };
+
+        for n in 0..good.len() {
+            assert!(refused(&good[..n]), "prefix of {n}/{} bytes", good.len());
+        }
+
+        let text = String::from_utf8(good.clone()).unwrap();
+        // A user line with redirect state: bump `consumed` past `inserted`.
+        let user = text
+            .lines()
+            .skip(1)
+            .find(|l| !l.contains("\"inserted\":0,"))
+            .expect("a user with redirects");
+        let num = |line: &str, key: &str| -> (usize, usize, u64) {
+            let start = line.find(key).unwrap() + key.len();
+            let end = start + line[start..].find(',').unwrap();
+            (start, end, line[start..end].parse().unwrap())
+        };
+        let (_, _, inserted) = num(user, "\"inserted\":");
+        let (cs, ce, _) = num(user, "\"consumed\":");
+        let bad_user = format!("{}{}{}", &user[..cs], inserted + 1, &user[ce..]);
+        assert!(refused(text.replacen(user, &bad_user, 1).as_bytes()));
+
+        // A quantile sketch whose zero bucket plus buckets overflow u64.
+        let key = "\"object_bytes\":{\"zero\":";
+        let zs = text.find(key).expect("population sketch in the manifest") + key.len();
+        let ze = zs + text[zs..].find(',').unwrap();
+        let bad_sketch = format!("{}{}{}", &text[..zs], u64::MAX, &text[ze..]);
+        assert!(refused(bad_sketch.as_bytes()));
+
+        // The untouched checkpoint still resumes.
+        fs::write(&ck, &good).unwrap();
+        classify_stream_file(&path, &classifier(), &o, &obs::Registry::new()).unwrap();
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_file(&path);
     }

@@ -416,6 +416,10 @@ impl std::fmt::Display for CodecStats {
     }
 }
 
+/// Counter series a decode window carries, in registration order.
+/// Checkpoint decoders map serialized names back onto this table.
+pub const DECODE_COUNTERS: [&str; 4] = ["records", "http", "https", "bytes"];
+
 /// The decode-side window schema: per-window record/protocol/byte series
 /// keyed on each record's trace timestamp.
 ///
@@ -441,12 +445,14 @@ impl DecodeWindows {
             width_secs,
             watermark_secs: f64::INFINITY,
         });
+        let [c_records, c_http, c_https, c_bytes] =
+            DECODE_COUNTERS.map(|name| engine.counter_series(name));
         DecodeWindows {
-            c_records: engine.counter_series("records"),
-            c_http: engine.counter_series("http"),
-            c_https: engine.counter_series("https"),
-            c_bytes: engine.counter_series("bytes"),
             engine,
+            c_records,
+            c_http,
+            c_https,
+            c_bytes,
         }
     }
 

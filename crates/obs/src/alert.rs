@@ -186,16 +186,6 @@ impl AlertEventKind {
             AlertEventKind::Resolved => "resolved",
         }
     }
-
-    /// Inverse of [`AlertEventKind::as_str`] (checkpoint decode).
-    pub fn from_keyword(s: &str) -> Option<AlertEventKind> {
-        match s {
-            "pending" => Some(AlertEventKind::Pending),
-            "firing" => Some(AlertEventKind::Firing),
-            "resolved" => Some(AlertEventKind::Resolved),
-            _ => None,
-        }
-    }
 }
 
 /// One lifecycle transition on the logical clock.
@@ -255,26 +245,6 @@ impl RuleState {
     }
 }
 
-/// Plain-data image of an engine's evolving state, for checkpointing.
-/// `f64` fields travel as `to_bits` words (see
-/// [`Detector::state`]); the serialization envelope is the caller's.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AlertEngineState {
-    /// FNV-64 of the rule pack's debug rendering — a resumed engine
-    /// refuses state from a different pack.
-    pub rules_fnv: u64,
-    /// Per-rule detector state words.
-    pub detectors: Vec<Vec<u64>>,
-    /// Per-rule lifecycle: `(phase, breach_streak, clear_streak, since)`
-    /// with phase 0=idle 1=pending 2=firing.
-    pub phases: Vec<(u8, u32, u32, i64)>,
-    /// Timeline events: `(rule, window_index, kind keyword, value bits,
-    /// score bits)`.
-    pub events: Vec<(u64, i64, &'static str, u64, u64)>,
-    /// Cumulative detector updates across evaluations.
-    pub updates: u64,
-}
-
 /// The alert engine: a rule pack plus the state of its last evaluation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlertEngine {
@@ -282,15 +252,16 @@ pub struct AlertEngine {
     detectors: Vec<Detector>,
     states: Vec<RuleState>,
     events: Vec<AlertEvent>,
+    /// Detector updates this process has run, across evaluations (see
+    /// [`AlertEngine::publish`]).
     updates: u64,
-    // Publish cursors are process-local (metrics are not checkpointed):
-    // a resumed process republishes its restored timeline from zero.
+    // Publish cursors, process-local like `updates`.
     published_updates: u64,
     published_resolved: u64,
 }
 
-/// FNV-64 over the debug rendering of a rule pack — the compatibility
-/// guard between an engine and a checkpointed state image.
+/// FNV-64 over the debug rendering of a rule pack — the pack identity
+/// run manifests record.
 pub fn rules_fnv(rules: &[AlertRule]) -> u64 {
     crate::manifest::fnv64(format!("{rules:?}").as_bytes())
 }
@@ -403,99 +374,14 @@ impl AlertEngine {
         }
     }
 
-    /// Snapshot the evolving state as plain data (checkpointing).
-    pub fn state(&self) -> AlertEngineState {
-        AlertEngineState {
-            rules_fnv: rules_fnv(&self.rules),
-            detectors: self.detectors.iter().map(Detector::state).collect(),
-            phases: self
-                .states
-                .iter()
-                .map(|s| {
-                    let p = match s.phase {
-                        Phase::Idle => 0u8,
-                        Phase::Pending => 1,
-                        Phase::Firing => 2,
-                    };
-                    (p, s.breach_streak, s.clear_streak, s.since)
-                })
-                .collect(),
-            events: self
-                .events
-                .iter()
-                .map(|e| {
-                    (
-                        e.rule as u64,
-                        e.window_index,
-                        e.kind.as_str(),
-                        e.value.to_bits(),
-                        e.score.to_bits(),
-                    )
-                })
-                .collect(),
-            updates: self.updates,
-        }
-    }
-
-    /// Rebuild an engine from a state image. Fails when the image does
-    /// not belong to this rule pack (hash, arity, or range mismatch).
-    pub fn from_state(rules: Vec<AlertRule>, st: AlertEngineState) -> Result<AlertEngine, String> {
-        if st.rules_fnv != rules_fnv(&rules) {
-            return Err("alert state belongs to a different rule pack".into());
-        }
-        if st.detectors.len() != rules.len() || st.phases.len() != rules.len() {
-            return Err("alert state arity does not match the rule pack".into());
-        }
-        let mut detectors = Vec::with_capacity(rules.len());
-        for (rule, words) in rules.iter().zip(&st.detectors) {
-            detectors.push(
-                Detector::from_state(&rule.detector, words)
-                    .ok_or_else(|| format!("bad detector state for rule `{}`", rule.name))?,
-            );
-        }
-        let mut states = Vec::with_capacity(rules.len());
-        for &(p, breach, clear, since) in &st.phases {
-            let phase = match p {
-                0 => Phase::Idle,
-                1 => Phase::Pending,
-                2 => Phase::Firing,
-                _ => return Err("bad phase tag in alert state".into()),
-            };
-            states.push(RuleState {
-                phase,
-                breach_streak: breach,
-                clear_streak: clear,
-                since,
-            });
-        }
-        let mut events = Vec::with_capacity(st.events.len());
-        for &(rule, window_index, kind, value, score) in &st.events {
-            if rule as usize >= rules.len() {
-                return Err("alert event references an unknown rule".into());
-            }
-            events.push(AlertEvent {
-                window_index,
-                rule: rule as usize,
-                kind: AlertEventKind::from_keyword(kind)
-                    .ok_or_else(|| format!("bad alert event kind `{kind}`"))?,
-                value: f64::from_bits(value),
-                score: f64::from_bits(score),
-            });
-        }
-        Ok(AlertEngine {
-            rules,
-            detectors,
-            states,
-            events,
-            updates: st.updates,
-            published_updates: 0,
-            published_resolved: 0,
-        })
-    }
-
     /// Bridge the current state into `registry`: absolute firing gauges
     /// per severity, monotonic update/resolved counters via delta
     /// cursors, and the `/alerts` render slot.
+    ///
+    /// `obs_detector_updates_total` counts the detector updates *this
+    /// process* ran. Every evaluation is a full recompute, so the count
+    /// depends on how many barriers the run evaluated at, and a resumed
+    /// run starts it from zero; no render includes it.
     pub fn publish(&mut self, registry: &Registry) {
         for sev in [Severity::Info, Severity::Warn, Severity::Page] {
             let n = self
@@ -607,8 +493,7 @@ impl AlertEngine {
 }
 
 /// Render a value or score with fixed 4-decimal precision: enough to
-/// read, deterministic, and a valid JSON number. (Exactness lives in the
-/// state/checkpoint path, which carries bit images, not renders.)
+/// read, deterministic, and a valid JSON number.
 fn fmt_val(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.4}")
@@ -746,18 +631,6 @@ mod tests {
         b.eval_report(&r);
         assert_eq!(a.render_text(), b.render_text());
         assert_eq!(a.render_ndjson(), b.render_ndjson());
-    }
-
-    #[test]
-    fn state_round_trips_and_renders_identically() {
-        let vals: Vec<u64> = (0..24).map(|i| if i % 9 == 8 { 90 } else { 10 }).collect();
-        let mut eng = AlertEngine::new(vec![jump_rule(2)]);
-        eng.eval_report(&report(&vals));
-        let back = AlertEngine::from_state(vec![jump_rule(2)], eng.state()).unwrap();
-        assert_eq!(back.render_text(), eng.render_text());
-        assert_eq!(back.state(), eng.state());
-        // A different pack refuses the image.
-        assert!(AlertEngine::from_state(vec![jump_rule(3)], eng.state()).is_err());
     }
 
     #[test]

@@ -19,10 +19,9 @@
 //! Every detector is a pure fold over its input sequence: same values in
 //! the same order ⇒ bit-identical state and scores, on any thread count,
 //! because evaluation happens only over merged, sorted window reports
-//! (see [`crate::alert`]). State is exposed as plain `u64` words
-//! ([`Detector::state`] / [`Detector::from_state`]) — `f64` fields
-//! travel as `to_bits` images, so a checkpointed detector resumes
-//! bit-exactly.
+//! (see [`crate::alert`]). Because the alert engine re-folds the whole
+//! merged report at every evaluation, detector state is never
+//! checkpointed: a resumed run simply folds again.
 
 use std::fmt::Write as _;
 
@@ -86,7 +85,7 @@ const VAR_FLOOR: f64 = 1e-12;
 
 /// A running change detector: spec plus evolving state. Create with
 /// [`Detector::new`], feed values in series order with
-/// [`Detector::update`], checkpoint with [`Detector::state`].
+/// [`Detector::update`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Detector {
     spec: DetectorSpec,
@@ -182,62 +181,10 @@ impl Detector {
                 *prev = Some(x);
                 score
             }
-            // `new`/`from_state` pair state with spec; the arms above are
-            // exhaustive for every constructible detector.
+            // `new` pairs state with spec; the arms above are exhaustive
+            // for every constructible detector.
             _ => unreachable!("detector state does not match its spec"),
         }
-    }
-
-    /// Serialize the evolving state as plain words. `f64` fields travel
-    /// as `to_bits` images so the round-trip is bit-exact; callers embed
-    /// the words in whatever envelope they checkpoint with.
-    pub fn state(&self) -> Vec<u64> {
-        match &self.state {
-            State::EwmaZ { mean, var, n } => vec![mean.to_bits(), var.to_bits(), *n],
-            State::Cusum { mean, n, pos, neg } => {
-                vec![mean.to_bits(), *n, pos.to_bits(), neg.to_bits()]
-            }
-            State::RateOfChange { prev } => match prev {
-                Some(p) => vec![1, p.to_bits()],
-                None => vec![0, 0],
-            },
-        }
-    }
-
-    /// Rebuild a detector from [`Detector::state`] words. Returns `None`
-    /// when the word count does not match the spec (a checkpoint from a
-    /// different configuration).
-    pub fn from_state(spec: &DetectorSpec, words: &[u64]) -> Option<Detector> {
-        let state = match spec {
-            DetectorSpec::EwmaZ { .. } => match words {
-                [mean, var, n] => State::EwmaZ {
-                    mean: f64::from_bits(*mean),
-                    var: f64::from_bits(*var),
-                    n: *n,
-                },
-                _ => return None,
-            },
-            DetectorSpec::Cusum { .. } => match words {
-                [mean, n, pos, neg] => State::Cusum {
-                    mean: f64::from_bits(*mean),
-                    n: *n,
-                    pos: f64::from_bits(*pos),
-                    neg: f64::from_bits(*neg),
-                },
-                _ => return None,
-            },
-            DetectorSpec::RateOfChange => match words {
-                [0, _] => State::RateOfChange { prev: None },
-                [1, p] => State::RateOfChange {
-                    prev: Some(f64::from_bits(*p)),
-                },
-                _ => return None,
-            },
-        };
-        Some(Detector {
-            spec: spec.clone(),
-            state,
-        })
     }
 }
 
@@ -283,31 +230,5 @@ mod tests {
             assert_eq!(d.update(0.0), 0.0);
         }
         assert_eq!(d.update(8.0), 8.0, "burst from zero scores the burst");
-    }
-
-    #[test]
-    fn state_round_trip_is_bit_exact() {
-        for spec in [
-            DetectorSpec::EwmaZ { alpha: 0.25 },
-            DetectorSpec::Cusum { drift: 0.1 },
-            DetectorSpec::RateOfChange,
-        ] {
-            let mut a = Detector::new(&spec);
-            for i in 0..20 {
-                a.update((i % 7) as f64 * 0.31 - 0.6);
-            }
-            let mut b = Detector::from_state(&spec, &a.state()).unwrap();
-            assert_eq!(a, b);
-            for i in 0..20 {
-                let x = (i % 5) as f64 * 1.7;
-                assert_eq!(a.update(x).to_bits(), b.update(x).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn from_state_rejects_wrong_arity() {
-        assert!(Detector::from_state(&DetectorSpec::RateOfChange, &[1, 2, 3]).is_none());
-        assert!(Detector::from_state(&DetectorSpec::EwmaZ { alpha: 0.5 }, &[0]).is_none());
     }
 }

@@ -50,8 +50,8 @@ pub mod trace;
 pub mod window;
 
 pub use alert::{
-    rules_fnv, AlertEngine, AlertEngineState, AlertEvent, AlertEventKind, AlertRule, Direction,
-    Phase, SeriesSpec, Severity,
+    rules_fnv, AlertEngine, AlertEvent, AlertEventKind, AlertRule, Direction, Phase, SeriesSpec,
+    Severity,
 };
 pub use detect::{Detector, DetectorSpec};
 pub use events::{Event, EventLog, FieldValue};

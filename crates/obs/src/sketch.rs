@@ -297,20 +297,22 @@ impl QuantileSketch {
         )
     }
 
-    /// Rebuild from serialized state.
+    /// Rebuild from serialized state. `None` when the counts overflow a
+    /// `u64` — state no real sketch can reach, so a corrupt image.
     pub fn from_state(
         gamma: f64,
         zero: u64,
         buckets: impl IntoIterator<Item = (i32, u64)>,
-    ) -> QuantileSketch {
+    ) -> Option<QuantileSketch> {
         let mut s = QuantileSketch::new(gamma);
         s.zero = zero;
         s.count = zero;
         for (i, c) in buckets {
-            s.count += c;
-            *s.buckets.entry(i).or_insert(0) += c;
+            s.count = s.count.checked_add(c)?;
+            let b = s.buckets.entry(i).or_insert(0);
+            *b = b.checked_add(c)?;
         }
-        s
+        Some(s)
     }
 }
 
@@ -527,8 +529,10 @@ mod tests {
             s.observe(i as f64);
         }
         let (zero, buckets) = s.state();
-        let back = QuantileSketch::from_state(QUANTILE_GAMMA, zero, buckets);
+        let back = QuantileSketch::from_state(QUANTILE_GAMMA, zero, buckets).unwrap();
         assert_eq!(back, s);
+        // Counts that overflow the total are a corrupt image, not a panic.
+        assert!(QuantileSketch::from_state(QUANTILE_GAMMA, 1, [(0, u64::MAX)]).is_none());
     }
 
     #[test]

@@ -1117,22 +1117,18 @@ fn metrics(world: &mut World) -> String {
     }
 
     // Compiled-engine layout gauges (rules, token buckets, arena bytes),
-    // published at compile time; the table shows the active engine mode so
-    // `--engine reference` runs are distinguishable in the artifact.
+    // published at compile time.
     let mut engine_tbl = TextTable::new("Filter engine", &["Stat", "Value"]);
-    engine_tbl.row(&["engine_mode".to_string(), world.engine.as_str().to_string()]);
-    if let Some(compiled) = world.classifier.compiled() {
-        let s = compiled.stats();
-        engine_tbl.row(&["abp_compiled_rules".to_string(), fmt_count(s.rules as u64)]);
-        engine_tbl.row(&[
-            "abp_compiled_buckets".to_string(),
-            fmt_count(s.buckets as u64),
-        ]);
-        engine_tbl.row(&[
-            "abp_compiled_arena_bytes".to_string(),
-            format!("{:.1} KiB", s.arena_bytes as f64 / 1024.0),
-        ]);
-    }
+    let s = world.classifier.compiled().stats();
+    engine_tbl.row(&["abp_compiled_rules".to_string(), fmt_count(s.rules as u64)]);
+    engine_tbl.row(&[
+        "abp_compiled_buckets".to_string(),
+        fmt_count(s.buckets as u64),
+    ]);
+    engine_tbl.row(&[
+        "abp_compiled_arena_bytes".to_string(),
+        format!("{:.1} KiB", s.arena_bytes as f64 / 1024.0),
+    ]);
 
     // Per-rule alert lifecycle over the same trace the stage tables
     // describe: a steady RBN-2 replay should leave every rule idle.

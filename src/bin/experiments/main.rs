@@ -63,7 +63,6 @@ fn main() {
     let mut scale = Scale::Medium;
     let mut seed: u64 = 0x5eed;
     let mut threads = parallel::available_parallelism();
-    let mut engine = adscope::EngineMode::Compiled;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -89,13 +88,6 @@ fn main() {
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage("bad --threads value"));
             }
-            "--engine" => {
-                i += 1;
-                engine = args
-                    .get(i)
-                    .and_then(|s| adscope::EngineMode::parse(s))
-                    .unwrap_or_else(|| usage("bad --engine value (compiled|reference)"));
-            }
             "--help" | "-h" => usage(""),
             id => ids.push(id.to_string()),
         }
@@ -107,7 +99,7 @@ fn main() {
     if ids.iter().any(|s| s == "all") {
         ids = experiments::ALL_IDS.iter().map(|s| s.to_string()).collect();
     }
-    let mut world = World::new_with_engine(scale, seed, threads, engine);
+    let mut world = World::new(scale, seed, threads);
     let mut out = String::new();
     for id in &ids {
         match experiments::run(id, &mut world) {
@@ -158,7 +150,6 @@ fn stamp_id(id: &str, section: &str, world: &World) {
     m.config("scale", world.scale.as_str());
     m.config("seed", world.seed);
     m.config("threads", world.threads);
-    m.config("engine", world.engine.as_str());
     m.filter_fnv = Some(manifest::filter_fnv(&world.eco));
     let mode = if id == "robustness" {
         m.replay = vec![
@@ -201,7 +192,6 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: experiments <id>... [--scale small|medium|large] [--seed N] [--threads N]\n\
-         \x20      [--engine compiled|reference]\n\
          \x20      experiments explain --url <u> [--trace <file>]\n\
          \x20      experiments temporal [--trace <file>] [--width SECS]\n\
          \x20      experiments serve --port N [--port-file PATH] [--pace SECS]\n\

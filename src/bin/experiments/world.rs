@@ -57,8 +57,6 @@ pub struct World {
     pub classifier: PassiveClassifier,
     /// Worker threads for the sharded classification stage (`--threads`).
     pub threads: usize,
-    /// Which match-path implementation classifies (`--engine`).
-    pub engine: adscope::EngineMode,
     active: Option<ActiveResults>,
     rbn1: Option<RbnData>,
     rbn2: Option<RbnData>,
@@ -77,16 +75,6 @@ pub struct RbnData {
 
 impl World {
     pub fn new(scale: Scale, seed: u64, threads: usize) -> World {
-        World::new_with_engine(scale, seed, threads, adscope::EngineMode::Compiled)
-    }
-
-    /// [`World::new`] with an explicit classifier engine (`--engine`).
-    pub fn new_with_engine(
-        scale: Scale,
-        seed: u64,
-        threads: usize,
-        engine: adscope::EngineMode,
-    ) -> World {
         let (publishers, ad_companies, trackers, crawl_sites, ..) = scale.knobs();
         let t = Instant::now();
         let eco = Ecosystem::generate(EcosystemConfig {
@@ -96,22 +84,18 @@ impl World {
             seed,
             ..Default::default()
         });
-        let classifier = PassiveClassifier::with_mode(
-            vec![
-                eco.lists.easylist(),
-                eco.lists.regional(),
-                eco.lists.easyprivacy(),
-                eco.lists.acceptable(),
-            ],
-            engine,
-        );
+        let classifier = PassiveClassifier::new(vec![
+            eco.lists.easylist(),
+            eco.lists.regional(),
+            eco.lists.easyprivacy(),
+            eco.lists.acceptable(),
+        ]);
         eprintln!(
-            "[world] ecosystem: {} publishers, {} companies, {} servers, {} filter rules, {} engine ({:.1}s)",
+            "[world] ecosystem: {} publishers, {} companies, {} servers, {} filter rules ({:.1}s)",
             eco.publishers.len(),
             eco.companies.len(),
             eco.servers.len(),
             classifier.engine().filter_count(),
-            engine.as_str(),
             t.elapsed().as_secs_f64()
         );
         World {
@@ -120,7 +104,6 @@ impl World {
             eco,
             classifier,
             threads: threads.max(1),
-            engine,
             active: None,
             rbn1: None,
             rbn2: None,
