@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Local CI: every gate the GitHub Actions workflow runs, plus the ones it
 # does not (the live population/alerts planes of the serve smoke test,
-# the population, alerts and stream-health gates, the full bench set
-# and bench_gate's manifest join). The streaming kill/resume + verify
-# gate lives in ci/stream_gate.sh, which both this script and the
-# workflow call.
+# and the population, alerts and stream-health gates). The streaming
+# kill/resume + verify gate lives in ci/stream_gate.sh and the bench
+# list + bench_gate in ci/bench_gate.sh; both this script and the
+# workflow call them.
 # Usage: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -175,23 +175,7 @@ grep -q '# population' <<<"$pop"
 wait "$HEALTH_PID"
 echo "    watchdog flagged the stall, /healthz recovered, /population live"
 
-echo "==> cargo bench (gated: trace_io, pipeline, streaming_pipeline, trace_overhead, window_overhead, sketch_overhead, filter_engine, detector_overhead)"
-rm -f BENCH_latest.json
-BENCH_JSON="$PWD/BENCH_latest.json" cargo bench -p bench --bench trace_io
-BENCH_JSON="$PWD/BENCH_latest.json" cargo bench -p bench --bench pipeline
-BENCH_JSON="$PWD/BENCH_latest.json" cargo bench -p bench --bench streaming_pipeline
-BENCH_JSON="$PWD/BENCH_latest.json" cargo bench -p bench --bench trace_overhead
-BENCH_JSON="$PWD/BENCH_latest.json" cargo bench -p bench --bench window_overhead
-BENCH_JSON="$PWD/BENCH_latest.json" cargo bench -p bench --bench sketch_overhead
-BENCH_JSON="$PWD/BENCH_latest.json" cargo bench -p bench --bench filter_engine
-BENCH_JSON="$PWD/BENCH_latest.json" cargo bench -p bench --bench detector_overhead
-
-echo "==> bench_gate (regression + overhead + compiled-engine speedup/throughput floors)"
-# --manifest joins the history row to the streaming run that CI just
-# verified: the row carries that run's config_fnv and dataset fnv.
-cargo run --release -q -p bench --bin bench_gate -- BENCH_baseline.json BENCH_latest.json \
-  --stamp "$(git rev-parse --short HEAD 2>/dev/null || echo local)" \
-  --manifest "$STREAM_DIR/full.manifest.json"
+./ci/bench_gate.sh
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -217,13 +217,7 @@ pub fn classify_trace_sharded_in(
         prev_ts = obj.ts;
     }
 
-    let normalizer = if opts.normalize {
-        UrlNormalizer::from_engine(classifier.engine())
-    } else {
-        let mut n = UrlNormalizer::default();
-        n.enabled = false;
-        n
-    };
+    let normalizer = UrlNormalizer::new(classifier.engine(), opts.normalize);
 
     // Verdict-provenance tracer: `None` (the default) keeps every
     // tracing branch off the hot path. Every sampling decision is a pure

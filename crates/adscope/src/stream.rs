@@ -1657,13 +1657,7 @@ where
         opts.threads
     }
     .max(1);
-    let normalizer = if opts.pipeline.normalize {
-        UrlNormalizer::from_engine(classifier.engine())
-    } else {
-        let mut n = UrlNormalizer::default();
-        n.enabled = false;
-        n
-    };
+    let normalizer = UrlNormalizer::new(classifier.engine(), opts.pipeline.normalize);
     // Streaming windows merge across partitions and checkpoint cuts;
     // only an infinite watermark makes those merges grouping-independent
     // (module docs), so it is forced here.
