@@ -93,9 +93,9 @@ grep -q '^obs_alerts_firing' <<<"$alerts_metrics"
 ./target/release/experiments fetch --port "$SERVE_PORT" --path /quitz >/dev/null
 wait "$SERVE_PID"
 
-./ci/stream_gate.sh
 # Artifacts of the stream gate, reused by the gates below.
 STREAM_DIR=target/experiments/stream
+./ci/stream_gate.sh "$STREAM_DIR"
 
 echo "==> experiments population (streamed sketches vs materialized exact gate)"
 # Stream-classify RBN-1 with population sketches on, then re-run the
@@ -175,7 +175,7 @@ grep -q '# population' <<<"$pop"
 wait "$HEALTH_PID"
 echo "    watchdog flagged the stall, /healthz recovered, /population live"
 
-./ci/bench_gate.sh
+./ci/bench_gate.sh "$STREAM_DIR/full.manifest.json"
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -5,10 +5,12 @@
 # the result to BENCH_history.ndjson. bench_gate fails any gated row the
 # run did not produce, so this list is the one place the gated set is
 # kept. Both ci.sh and the GitHub Actions workflow run it, after
-# ci/stream_gate.sh: the history row joins to that gate's run manifest.
-# Usage: ci/bench_gate.sh
+# ci/stream_gate.sh: the history row joins to that gate's run manifest,
+# <manifest> (relative to the repository root).
+# Usage: ci/bench_gate.sh <manifest>
 set -euo pipefail
 cd "$(dirname "$0")/.."
+MANIFEST="${1:?usage: ci/bench_gate.sh <manifest>}"
 
 BENCHES=(
   trace_io
@@ -32,4 +34,4 @@ echo "==> bench_gate (regression + overhead + compiled-engine speedup/throughput
 # gate just verified: the row carries that run's config_fnv and dataset fnv.
 cargo run --release -q -p bench --bin bench_gate -- BENCH_baseline.json BENCH_latest.json \
   --stamp "$(git rev-parse --short HEAD 2>/dev/null || echo local)" \
-  --manifest target/experiments/stream/full.manifest.json
+  --manifest "$MANIFEST"

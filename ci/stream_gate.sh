@@ -4,14 +4,15 @@
 # chunks, then with a real SIGKILL), resume, and require byte-identical
 # output; then replay the run manifests through `experiments verify`.
 # It is the only end-to-end check of the checkpoint format. Both ci.sh
-# and the GitHub Actions workflow run it; artifacts land in
-# target/experiments/stream. Needs `cargo build --release` first.
-# Usage: ci/stream_gate.sh
+# and the GitHub Actions workflow run it; artifacts land in <dir>
+# (relative to the repository root), whose full.manifest.json
+# ci/bench_gate.sh then reads. Needs `cargo build --release` first.
+# Usage: ci/stream_gate.sh <dir>
 set -euo pipefail
 cd "$(dirname "$0")/.."
+STREAM_DIR="${1:?usage: ci/stream_gate.sh <dir>}"
 
 echo "==> experiments stream (bounded memory + kill/resume gate)"
-STREAM_DIR=target/experiments/stream
 rm -rf "$STREAM_DIR"
 mkdir -p "$STREAM_DIR"
 # Generate the RBN-1 trace to disk slice by slice (never materialized),

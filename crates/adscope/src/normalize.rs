@@ -23,9 +23,10 @@ pub struct UrlNormalizer {
     /// Lowercased query fragments appearing in any loaded filter rule,
     /// each once, in first-seen order.
     protected: Vec<String>,
-    /// Literal index: every 1..=4-byte run that ends right before an `=`
+    /// Literal index: every 0..=4-byte run that ends right before an `=`
     /// in a literal (packed by [`suffix_key`]) → ids into `protected` of
-    /// the literals holding it there, ascending and without repeats.
+    /// the literals holding it there, ascending and without repeats. The
+    /// empty run's bucket holds every literal with an `=`.
     by_key_suffix: HashMap<u64, Vec<u32>>,
     /// Ablation toggle: disabled normalizer returns URLs untouched.
     pub enabled: bool,
@@ -91,7 +92,7 @@ impl UrlNormalizer {
             let id = u32::try_from(id).expect("fewer than 2^32 protected literals");
             for (eq, _) in lit.match_indices('=') {
                 let before = &lit.as_bytes()[..eq];
-                for len in 1..=before.len().min(KEY_SUFFIX) {
+                for len in 0..=before.len().min(KEY_SUFFIX) {
                     let ids = by_key_suffix
                         .entry(suffix_key(&before[eq - len..]))
                         .or_default();
@@ -110,33 +111,22 @@ impl UrlNormalizer {
 
     /// Is this `key=value` pair protected by some filter literal (see
     /// [`protects`])? Only literals holding `key=` can protect the pair,
-    /// and each of those holds the key's last bytes right before an `=`,
-    /// so the index bucket for those bytes misses no candidate and the
-    /// predicate decides as if it had scanned every literal. An empty
-    /// key has no such bytes and checks every literal.
+    /// and each of those holds the key's last bytes (none, for an empty
+    /// key) right before an `=`, so the index bucket for those bytes
+    /// misses no candidate and the predicate decides as if it had scanned
+    /// every literal.
     fn is_protected(&self, key: &str, value: &str) -> bool {
-        if self.protected.is_empty() {
+        let tail = &key.as_bytes()[key.len().saturating_sub(KEY_SUFFIX)..];
+        let Some(ids) = self.by_key_suffix.get(&suffix_key(tail)) else {
             return false;
-        }
-        let bucket = if key.is_empty() {
-            None
-        } else {
-            let tail = &key.as_bytes()[key.len().saturating_sub(KEY_SUFFIX)..];
-            match self.by_key_suffix.get(&suffix_key(tail)) {
-                Some(ids) => Some(ids),
-                None => return false,
-            }
         };
         let mut kv = String::with_capacity(key.len() + 1 + value.len());
         kv.push_str(key);
         kv.push('=');
         kv.push_str(value);
         kv.make_ascii_lowercase();
-        let hit = |lit: &String| protects(lit, &kv, key.len());
-        match bucket {
-            Some(ids) => ids.iter().any(|&id| hit(&self.protected[id as usize])),
-            None => self.protected.iter().any(hit),
-        }
+        ids.iter()
+            .any(|&id| protects(&self.protected[id as usize], &kv, key.len()))
     }
 
     /// Does a value look dynamic? Numeric runs, long tokens, mixed
@@ -149,13 +139,6 @@ impl UrlNormalizer {
         let len = value.chars().count();
         // Mostly digits, or long opaque tokens.
         digits * 2 > len || len >= 16
-    }
-
-    /// The key of a `key=value` query pair whose value must become the
-    /// placeholder: dynamic and not protected. `None` keeps the pair.
-    fn rewritten_key<'q>(&self, pair: &'q str) -> Option<&'q str> {
-        let (k, v) = pair.split_once('=')?;
-        (Self::is_dynamic(v) && !self.is_protected(k, v)).then_some(k)
     }
 
     /// Normalize one URL: dynamic query values become `X` unless protected.
@@ -180,37 +163,31 @@ impl UrlNormalizer {
         let Some(query) = url.query() else {
             return url.clone();
         };
-        // Nothing is allocated until the first pair to rewrite; the pairs
-        // before it are copied as one unchanged prefix.
-        let mut pairs = query.split('&');
-        let mut kept = 0;
-        let first = loop {
-            let Some(pair) = pairs.next() else {
-                return url.clone();
-            };
-            match self.rewritten_key(pair) {
-                Some(k) => break k,
-                None => kept += pair.len() + 1,
+        // `out` allocates at the first rewrite; the query bytes before
+        // `copied` are already in it, and unchanged runs are copied whole.
+        let mut out = String::new();
+        let mut copied = 0;
+        let mut start = 0;
+        for pair in query.split('&') {
+            let end = start + pair.len();
+            if let Some((k, v)) = pair.split_once('=') {
+                if Self::is_dynamic(v) && !self.is_protected(k, v) {
+                    out.push_str(&query[copied..start]);
+                    out.push_str(k);
+                    out.push('=');
+                    out.push_str(PLACEHOLDER);
+                    copied = end;
+                    if let Some(keys) = rewrites.as_deref_mut() {
+                        keys.push(k.to_string());
+                    }
+                }
             }
-        };
-        let mut out = String::with_capacity(query.len());
-        out.push_str(&query[..kept]);
-        let mut push_rewrite = |out: &mut String, k: &str| {
-            out.push_str(k);
-            out.push('=');
-            out.push_str(PLACEHOLDER);
-            if let Some(keys) = rewrites.as_deref_mut() {
-                keys.push(k.to_string());
-            }
-        };
-        push_rewrite(&mut out, first);
-        for pair in pairs {
-            out.push('&');
-            match self.rewritten_key(pair) {
-                Some(k) => push_rewrite(&mut out, k),
-                None => out.push_str(pair),
-            }
+            start = end + 1;
         }
+        if out.is_empty() {
+            return url.clone();
+        }
+        out.push_str(&query[copied..]);
         url.with_query(Some(out))
     }
 }
